@@ -11,7 +11,7 @@ from .errors import (CrossCheckError, DimensionCapError,
                      MixedVariableSetsError, NegativityViolationError,
                      NonUniqueMinimizerError, NormalizationError,
                      NotAMinimizerError, OutOfRangeError, ParseError,
-                     UnboundedSupportError, VallabError, ZeroIdealError)
+                     VallabError, ZeroIdealError)
 from .geometry import (NewtonPolyhedron, Ray, critical_rays, newton_polyhedron,
                        proportional)
 from .ideals import ExponentVector, MonomialIdeal, WeightVector
@@ -55,7 +55,7 @@ __all__ = [
     "MultiplierIdealResult", "howald_multiplier", "jumping_number_oracle",
     "controlled_growth_check",
     "VallabError", "ZeroIdealError", "DimensionCapError",
-    "DimensionMismatchError", "UnboundedSupportError",
+    "DimensionMismatchError",
     "NegativityViolationError", "NotAMinimizerError", "InfiniteLctError",
     "DomainError", "NonUniqueMinimizerError", "NormalizationError",
     "OutOfRangeError", "ParseError", "MixedVariableSetsError",

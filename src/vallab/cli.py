@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import (CrossCheckError, DimensionMismatchError,
                      MixedVariableSetsError, ParseError, VallabError)
@@ -125,24 +126,15 @@ def parse_ideal(text, dim=None) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(gens, dim)
 
 
-def render_ideal(ideal: MonomialIdeal) -> str:
-    if ideal.is_zero:
-        return "0"
-    names = variable_names(ideal.dim)
-    return ", ".join(monomial_str(g, names) for g in ideal.generators)
-
-
 def parse_weights(text, dim=None) -> WeightVector:
     try:
         parts = [as_rat(p.strip()) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad weight vector {text!r}: {exc}") from exc
-    if dim is not None and len(parts) != dim:
-        raise DimensionMismatchError(
-            f"weight vector {text!r} has {len(parts)} entries, expected {dim}")
-    try:
+        if dim is not None and len(parts) != dim:
+            raise DimensionMismatchError(
+                f"weight vector {text!r} has {len(parts)} entries, "
+                f"expected {dim}")
         return WeightVector.of(*parts)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad weight vector {text!r}: {exc}") from exc
 
 
@@ -172,10 +164,7 @@ def parse_seq(text, dim):
         return ValSeq(parse_weights(text[4:], dim))
     if text.startswith("enl:"):
         inner, ideal_text, beta_text = text[4:].rsplit(";", 2)
-        try:
-            beta = as_rat(beta_text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad enlargement rate {beta_text!r}") from exc
+        beta = parse_rational(beta_text, "enlargement rate")
         return EnlargedSeq(parse_seq(inner, dim), parse_ideal(ideal_text, dim),
                            beta)
     raise ParseError(f"unknown sequence descriptor {text!r}")
@@ -231,11 +220,18 @@ def _read_text(value):
 
 def build_problem(command, ideal_args, weight_args, seq_args, params,
                   dim_flag=None) -> ProblemSpec:
-    """Parse all inputs against one shared ambient dimension."""
+    """Parse all inputs against one shared ambient dimension.
+
+    That dimension is ``dim_flag`` when given, and an input that needs a
+    larger one raises DimensionMismatchError; otherwise it is the largest
+    dimension any input needs.
+    """
+    if dim_flag is not None and dim_flag < 1:
+        raise ParseError(f"--dim must be at least 1, got {dim_flag}")
     ideal_texts = {name: _read_text(text) for name, text in ideal_args.items()}
     seq_texts = {name: _read_text(text) for name, text in seq_args.items()}
 
-    needed = [dim_flag] if dim_flag else []
+    needed = []
     for text in ideal_texts.values():
         needed.append(scan_ideal(text)[1])
     for text in seq_texts.values():
@@ -244,7 +240,7 @@ def build_problem(command, ideal_args, weight_args, seq_args, params,
         needed.extend(dims)
     for text in weight_args.values():
         needed.append(len(text.split(",")))
-    dim = max(needed) if needed else 1
+    dim = dim_flag or max(needed, default=1)
 
     spec = ProblemSpec(command, dim=dim, params=dict(params))
     for name, text in ideal_texts.items():
@@ -306,25 +302,22 @@ def _tian_json(f):
 
 
 def _tian_tsv(f):
+    """One (t, value, slope) row per piece, from the start of each piece."""
     rows = ["t\tvalue\tslope"]
-    first = f.pieces[0]
-    if f.domain_min is None:
-        left_value = "-infinity" if first.slope > 0 else \
-            format_rat(first.intercept)
-        rows.append(f"-infinity\t{left_value}\t{format_rat(first.slope)}")
-    else:
-        rows.append(f"{format_rat(f.domain_min)}\t"
-                    f"{format_rat(first.value(f.domain_min))}\t"
-                    f"{format_rat(first.slope)}")
-    for piece in f.pieces[1:]:
-        rows.append(f"{format_rat(piece.start)}\t"
-                    f"{format_rat(piece.value(piece.start))}\t"
-                    f"{format_rat(piece.slope)}")
+    for piece in f.pieces:
+        slope = format_rat(piece.slope)
+        if piece.start is None:  # first piece of an unbounded domain
+            left = "-infinity" if piece.slope > 0 else \
+                format_rat(piece.intercept)
+            rows.append(f"-infinity\t{left}\t{slope}")
+        else:
+            rows.append(f"{format_rat(piece.start)}\t"
+                        f"{format_rat(piece.value(piece.start))}\t{slope}")
     return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# command handlers: ProblemSpec -> (document dict, optional raw text)
+# command handlers: ProblemSpec -> JSON document or raw text
 
 
 def _cmd_lct(spec):
@@ -350,7 +343,7 @@ def _cmd_tian(spec):
     f = tian_function(spec.ideals["q"], spec.ideals["qprime"],
                       spec.seqs["seq"])
     if spec.params["format"] == "tsv":
-        return None, _tian_tsv(f)
+        return _tian_tsv(f)
     doc = _tian_json(f)
     if f.domain_min is None or f.domain_min < 0:
         left, right, final = slope_report(f)
@@ -427,12 +420,12 @@ def _cmd_enlarge_check(spec):
 
 
 def _cmd_tree_a_disc(spec):
-    value = a_disc_2d(spec.params["path"], spec.params["t"])
+    value = a_disc_2d(spec.params["seq"], spec.params["t"])
     return {"t": format_rat(spec.params["t"]), "A": format_rat(value)}
 
 
 def _cmd_tree_min_n(spec):
-    bound = min_zhou_N(spec.params["path"])
+    bound = min_zhou_N(spec.params["seq"])
     return {
         "N": bound.n_min,
         "max_gap": format_rat(bound.max_gap),
@@ -445,11 +438,11 @@ def _cmd_tree_min_n(spec):
 
 
 def _cmd_tree_zv1(spec):
-    return {"member": zv1_member(spec.params["path"])}
+    return {"member": zv1_member(spec.params["seq"])}
 
 
 def _cmd_tree_sigma(spec):
-    profile = sigma_profile(spec.params["path"], spec.params["n"],
+    profile = sigma_profile(spec.params["seq"], spec.params["n"],
                             spec.params["samples"])
     return {
         "N": format_rat(spec.params["n"]),
@@ -466,7 +459,7 @@ def _cmd_oracle_mult(spec):
     result = howald_multiplier(spec.ideals["a"], spec.params["c"])
     return {
         "c": format_rat(result.coefficient),
-        "ideal": render_ideal(result.ideal),
+        "ideal": str(result.ideal),
         "generators": [list(g) for g in result.ideal.generators],
         "witness": {
             monomial_str(g, variable_names(result.ideal.dim)):
@@ -511,172 +504,135 @@ def _cmd_sandwich(spec):
 
 
 # ---------------------------------------------------------------------------
+# the command table
+
+
+def _absent_if_empty(text):
+    """An empty --qprime means no mixing ideal."""
+    return text or None
+
+
+_Q = ("--q", "ideal", {})
+_A = ("--a", "ideal", {})
+_QPRIME = ("--qprime", "ideal", {})
+_SEQ = ("--seq", "seq", {})
+_ALPHA = ("--alpha", "weights", {})
+_PATH = ("--seq", "path", {})
+
+# name: (help text, handler, flags...), one entry per (sub)command.  An
+# entry without a handler is a group: "zhou" is the parent of
+# "zhou-rescale", whose argv spelling is "zhou rescale".
+#
+# A flag is (name, kind, argparse options); a list of flags is a required
+# mutually exclusive group.  A flag is required unless its options give a
+# default.  The kind says where a given value goes: "ideal", "weights" and
+# "seq" are parsed by build_problem against one shared dimension;
+# "rational:<noun>" and "rationals:<noun>" (a comma list) become exact
+# parameters, the noun naming the value in a parse error; "path" is an
+# approximation path and "raw" is passed through as argparse left it.
+_COMMANDS = {
+    "lct": ("mixed jumping number", _cmd_lct, _Q,
+            ("--qprime", "ideal", {"default": None, "type": _absent_if_empty}),
+            ("--lambda", "rational:lambda", {"dest": "lam", "default": "0"}),
+            [_A, _SEQ]),
+    "tian": ("Tian function as exact PL data", _cmd_tian, _Q, _QPRIME, _SEQ,
+             ("--format", "raw", {"choices": ["json", "tsv"],
+                                  "default": "json"})),
+    "zhou": ("Zhou-valuation certificates", None),
+    "zhou-rescale": (None, _cmd_zhou_rescale, _ALPHA, _Q),
+    "zhou-test": (None, _cmd_zhou_test, _ALPHA, _Q,
+                  ("--family", "raw", {"default": None,
+                                       "help": "semicolon-separated ideals"})),
+    "zhou-membership": (None, _cmd_zhou_membership, _ALPHA, _Q),
+    "compare": ("singularity order of two ideals", _cmd_compare, _A,
+                ("--aprime", "ideal", {})),
+    "enlarge-check": ("enlarged-sequence threshold", _cmd_enlarge_check,
+                      _Q, _QPRIME, _SEQ, ("--beta", "rational:beta", {})),
+    "tree": ("2-dim valuative-tree quantities", None),
+    "tree-a-disc": (None, _cmd_tree_a_disc, _PATH,
+                    ("--t", "rational:skewness", {})),
+    "tree-min-n": (None, _cmd_tree_min_n, _PATH),
+    "tree-zv1": (None, _cmd_tree_zv1, _PATH),
+    "tree-sigma": (None, _cmd_tree_sigma, _PATH, ("--n", "rational:N", {}),
+                   ("--samples", "rationals:sample", {})),
+    "oracle": ("independent multiplier-ideal oracle", None),
+    "oracle-jn": (None, _cmd_oracle_jn, _Q, _A),
+    "oracle-mult": (None, _cmd_oracle_mult, _A,
+                    ("--c", "rational:coefficient", {})),
+    "oracle-growth": (None, _cmd_oracle_growth, _A,
+                      ("--rays", "raw", {"help": "semicolon-separated "
+                                         "integer rays, e.g. '3,2;1,1'"}),
+                      ("--t-values", "rationals:t", {})),
+    "sandwich": ("q-power approximation bound", _cmd_sandwich, _ALPHA, _Q,
+                 ("--k", "raw", {"type": int})),
+}
+
+
+def _members(flag):
+    return flag if isinstance(flag, list) else [flag]
+
+
+# ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
 
+@cache
 def build_parser():
+    """The argparse tree of the command table, built once per process."""
     parser = argparse.ArgumentParser(
         prog="vallab",
         description="Exact jumping numbers, Tian functions, and Zhou "
                     "certificates for monomial ideals.")
     parser.add_argument("--dim", type=int, default=None,
                         help="ambient dimension override")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lct", help="mixed jumping number")
-    p.add_argument("--q", required=True)
-    p.add_argument("--qprime", default=None)
-    p.add_argument("--lambda", dest="lam", default="0")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--a")
-    group.add_argument("--seq")
-
-    p = sub.add_parser("tian", help="Tian function as exact PL data")
-    p.add_argument("--q", required=True)
-    p.add_argument("--qprime", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--format", choices=["json", "tsv"], default="json")
-
-    p = sub.add_parser("zhou", help="Zhou-valuation certificates")
-    zsub = p.add_subparsers(dest="zhou_command", required=True)
-    for name in ("rescale", "test", "membership"):
-        zp = zsub.add_parser(name)
-        zp.add_argument("--alpha", required=True)
-        zp.add_argument("--q", required=True)
-        if name == "test":
-            zp.add_argument("--family", default=None,
-                            help="semicolon-separated ideals")
-
-    p = sub.add_parser("compare", help="singularity order of two ideals")
-    p.add_argument("--a", required=True)
-    p.add_argument("--aprime", required=True)
-
-    p = sub.add_parser("enlarge-check", help="enlarged-sequence threshold")
-    p.add_argument("--q", required=True)
-    p.add_argument("--qprime", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--beta", required=True)
-
-    p = sub.add_parser("tree", help="2-dim valuative-tree quantities")
-    tsub = p.add_subparsers(dest="tree_command", required=True)
-    tp = tsub.add_parser("a-disc")
-    tp.add_argument("--seq", required=True)
-    tp.add_argument("--t", required=True)
-    tp = tsub.add_parser("min-n")
-    tp.add_argument("--seq", required=True)
-    tp = tsub.add_parser("zv1")
-    tp.add_argument("--seq", required=True)
-    tp = tsub.add_parser("sigma")
-    tp.add_argument("--seq", required=True)
-    tp.add_argument("--n", required=True)
-    tp.add_argument("--samples", required=True)
-
-    p = sub.add_parser("oracle", help="independent multiplier-ideal oracle")
-    osub = p.add_subparsers(dest="oracle_command", required=True)
-    op = osub.add_parser("jn")
-    op.add_argument("--q", required=True)
-    op.add_argument("--a", required=True)
-    op = osub.add_parser("mult")
-    op.add_argument("--a", required=True)
-    op.add_argument("--c", required=True)
-    op = osub.add_parser("growth")
-    op.add_argument("--a", required=True)
-    op.add_argument("--rays", required=True,
-                    help="semicolon-separated integer rays, e.g. '3,2;1,1'")
-    op.add_argument("--t-values", dest="t_values", required=True)
-
-    p = sub.add_parser("sandwich", help="q-power approximation bound")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--k", type=int, required=True)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (help_text, handler, *flags) in _COMMANDS.items():
+        group, _, leaf = name.partition("-")
+        if group not in subparsers:
+            group, leaf = "", name
+        p = subparsers[group].add_parser(
+            leaf, **({"help": help_text} if help_text else {}))
+        if handler is None:
+            subparsers[name] = p.add_subparsers(dest=f"{name}_command",
+                                                required=True)
+            continue
+        p.set_defaults(spec_command=name)
+        for flag in flags:
+            exclusive = isinstance(flag, list)
+            target = p.add_mutually_exclusive_group(required=True) \
+                if exclusive else p
+            for option, _, opts in _members(flag):
+                target.add_argument(option, **opts, required=not exclusive
+                                    and "default" not in opts)
     return parser
 
 
-def _assemble(args) -> ProblemSpec:
-    command = args.command
-    ideals, weights, seqs, params = {}, {}, {}, {}
-
-    if command == "lct":
-        ideals["q"] = args.q
-        if args.qprime:
-            ideals["qprime"] = args.qprime
-        if args.a:
-            ideals["a"] = args.a
-        else:
-            seqs["seq"] = args.seq
-        params["lam"] = parse_rational(args.lam, "lambda")
-    elif command == "tian":
-        ideals["q"], ideals["qprime"] = args.q, args.qprime
-        seqs["seq"] = args.seq
-        params["format"] = args.format
-    elif command == "zhou":
-        command = f"zhou-{args.zhou_command}"
-        ideals["q"] = args.q
-        weights["alpha"] = args.alpha
-        if args.zhou_command == "test":
-            params["family"] = args.family
-    elif command == "compare":
-        ideals["a"], ideals["aprime"] = args.a, args.aprime
-    elif command == "enlarge-check":
-        ideals["q"], ideals["qprime"] = args.q, args.qprime
-        seqs["seq"] = args.seq
-        params["beta"] = parse_rational(args.beta, "beta")
-    elif command == "tree":
-        command = f"tree-{args.tree_command}"
-        params["path"] = parse_path(args.seq)
-        if args.tree_command == "a-disc":
-            params["t"] = parse_rational(args.t, "skewness")
-        if args.tree_command == "sigma":
-            params["n"] = parse_rational(args.n, "N")
-            params["samples"] = [parse_rational(s, "sample")
-                                 for s in args.samples.split(",")]
-    elif command == "oracle":
-        command = f"oracle-{args.oracle_command}"
-        ideals["a"] = args.a
-        if args.oracle_command == "jn":
-            ideals["q"] = args.q
-        if args.oracle_command == "mult":
-            params["c"] = parse_rational(args.c, "coefficient")
-        if args.oracle_command == "growth":
-            params["rays"] = args.rays
-            params["t_values"] = [parse_rational(t, "t")
-                                  for t in args.t_values.split(",")]
-    elif command == "sandwich":
-        ideals["q"] = args.q
-        weights["alpha"] = args.alpha
-        params["k"] = args.k
-
-    return build_problem(command, ideals, weights, seqs, params,
-                         dim_flag=args.dim)
-
-
-_HANDLERS = {
-    "lct": _cmd_lct,
-    "tian": _cmd_tian,
-    "zhou-rescale": _cmd_zhou_rescale,
-    "zhou-test": _cmd_zhou_test,
-    "zhou-membership": _cmd_zhou_membership,
-    "compare": _cmd_compare,
-    "enlarge-check": _cmd_enlarge_check,
-    "tree-a-disc": _cmd_tree_a_disc,
-    "tree-min-n": _cmd_tree_min_n,
-    "tree-zv1": _cmd_tree_zv1,
-    "tree-sigma": _cmd_tree_sigma,
-    "oracle-jn": _cmd_oracle_jn,
-    "oracle-mult": _cmd_oracle_mult,
-    "oracle-growth": _cmd_oracle_growth,
-    "sandwich": _cmd_sandwich,
-}
+def _problem(args) -> ProblemSpec:
+    """Sort the given flags of the chosen command by kind."""
+    command = args.spec_command
+    inputs = {"ideal": {}, "weights": {}, "seq": {}, "param": {}}
+    for option, kind, opts in (member for flag in _COMMANDS[command][2:]
+                               for member in _members(flag)):
+        dest = opts.get("dest", option[2:].replace("-", "_"))
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        kind, _, noun = kind.partition(":")
+        if kind == "rational":
+            value = parse_rational(value, noun)
+        elif kind == "rationals":
+            value = [parse_rational(v, noun) for v in value.split(",")]
+        elif kind == "path":
+            value = parse_path(value)
+        inputs[kind if kind in inputs else "param"][dest] = value
+    return build_problem(command, inputs["ideal"], inputs["weights"],
+                         inputs["seq"], inputs["param"], dim_flag=args.dim)
 
 
 def run_command(spec: ProblemSpec):
     """Dispatch a resolved problem; returns (exit status, output text)."""
-    out = _HANDLERS[spec.command](spec)
-    if isinstance(out, tuple):
-        doc, raw = out
-        return 0, raw if doc is None else json.dumps(doc, indent=2) + "\n"
-    return 0, json.dumps(out, indent=2) + "\n"
+    out = _COMMANDS[spec.command][1](spec)
+    return 0, out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
 
 
 _NEG_RATIONAL_LIST = re.compile(r"-\d+(/\d+)?(,-?\d+(/\d+)?)*\Z")
@@ -686,15 +642,9 @@ _VALUE_FLAGS = ("--lambda", "--t", "--n", "--beta", "--alpha", "--samples")
 def _join_negative_values(argv):
     """Let ``--lambda -1/4`` parse: argparse treats bare '-1/4' as a flag."""
     out = []
-    skip = False
-    for tok, nxt in zip(argv, list(argv[1:]) + [None]):
-        if skip:
-            skip = False
-            continue
-        if tok in _VALUE_FLAGS and nxt is not None \
-                and _NEG_RATIONAL_LIST.match(nxt):
-            out.append(f"{tok}={nxt}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and _NEG_RATIONAL_LIST.match(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -709,7 +659,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        spec = _assemble(args)
+        spec = _problem(args)
         status, output = run_command(spec)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

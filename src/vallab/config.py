@@ -8,20 +8,27 @@ the ``VALLAB_DIM_CAP`` environment variable if you accept the cost.
 
 import os
 
+from .errors import DimensionCapError
+
 DEFAULT_DIM_CAP = 4
 
 ENV_DIM_CAP = "VALLAB_DIM_CAP"
 
 
-def dimension_cap(override=None):
-    """Resolve the active dimension cap.
+def dimension_cap():
+    """The active dimension cap: ``VALLAB_DIM_CAP`` if set, else 4.
 
-    ``override`` wins, then the ``VALLAB_DIM_CAP`` environment variable,
-    then the default of 4.
+    The variable is read on every call.  A value that is not an integer
+    of at least 1 raises DimensionCapError naming the variable.
     """
-    if override is not None:
-        return int(override)
-    env = os.environ.get(ENV_DIM_CAP)
-    if env is not None:
-        return int(env)
-    return DEFAULT_DIM_CAP
+    text = os.environ.get(ENV_DIM_CAP)
+    if text is None:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise DimensionCapError(
+            f"{ENV_DIM_CAP}={text!r} is not a positive integer")
+    return cap

@@ -22,15 +22,6 @@ class DimensionMismatchError(VallabError):
     """Objects of different ambient dimensions were mixed."""
 
 
-class UnboundedSupportError(VallabError):
-    """Reserved: valuation ideal not finitely describable.
-
-    With generators computed in the support coordinates and lifted by
-    zeros this situation does not arise; the class is kept so callers
-    can still catch the documented error name.
-    """
-
-
 class NegativityViolationError(VallabError):
     """Negative mixing weight drove a candidate numerator below zero."""
 

@@ -110,6 +110,21 @@ def _sign_canonical(vector):
     return tuple(-v for v in p) if lead < 0 else p
 
 
+def _orthant_kernels(normals, n):
+    """Primitive generators, oriented into the orthant, of the kernel lines
+    of the (n-1)-subsets of ``normals``; lines outside the orthant and
+    subsets of lower rank yield nothing."""
+    for subset in combinations(normals, n - 1):
+        kernel = kernel_basis(list(subset), n)
+        if len(kernel) != 1:
+            continue
+        d = primitive(kernel[0])
+        if all(v <= 0 for v in d):
+            d = tuple(-v for v in d)
+        if all(v >= 0 for v in d):
+            yield d
+
+
 # ---------------------------------------------------------------------------
 # rays
 
@@ -132,9 +147,6 @@ class Ray:
     @property
     def dim(self):
         return len(self.direction)
-
-    def pairing(self, beta):
-        return sum(r * b for r, b in zip(self.direction, beta))
 
     def __str__(self):
         return "(" + ",".join(str(v) for v in self.direction) + ")"
@@ -167,10 +179,6 @@ class NewtonPolyhedron:
     def nontrivial_facets(self):
         return tuple((nu, off) for nu, off in self.facets if off > 0)
 
-    def support_value(self, gamma):
-        """min <gamma, u> over the polyhedron = min over generators."""
-        return min(sum(c * g for c, g in zip(gamma, b)) for b in self.generators)
-
     def contains(self, point, strict=False):
         """Membership test; ``strict`` tests the topological interior."""
         for i, x in enumerate(point):
@@ -200,15 +208,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     directions = sorted(diffs | {_sign_canonical(u) for u in units})
 
     facets = {}
-    for subset in combinations(directions, n - 1):
-        kernel = kernel_basis(list(subset), n)
-        if len(kernel) != 1:
-            continue
-        nu = primitive(kernel[0])
-        if all(v <= 0 for v in nu):
-            nu = tuple(-v for v in nu)
-        if any(v < 0 for v in nu):
-            continue
+    for nu in _orthant_kernels(directions, n):
         offset = min(sum(c * g for c, g in zip(nu, b)) for b in gens)
         active = [g for g in gens
                   if sum(c * x for c, x in zip(nu, g)) == offset]
@@ -225,7 +225,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 # critical rays of a family refinement
 
 
-def critical_rays(linear_form_families, dimension, dim_cap=None):
+def critical_rays(linear_form_families, dimension):
     """Extreme rays of the orthant refined by within-family form ties.
 
     ``linear_form_families`` is a list of families, each a nonempty list
@@ -237,7 +237,7 @@ def critical_rays(linear_form_families, dimension, dim_cap=None):
     n = int(dimension)
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    cap = dimension_cap(dim_cap)
+    cap = dimension_cap()
     if n > cap:
         raise DimensionCapError(
             f"dimension {n} exceeds cap {cap}; raise VALLAB_DIM_CAP to force")
@@ -265,18 +265,7 @@ def critical_rays(linear_form_families, dimension, dim_cap=None):
             if any(d != 0 for d in diff):
                 normals.add(_sign_canonical(diff))
 
-    rays = set()
-    for subset in combinations(sorted(normals), n - 1):
-        kernel = kernel_basis(list(subset), n)
-        if len(kernel) != 1:
-            continue
-        d = primitive(kernel[0])
-        if all(v <= 0 for v in d):
-            d = tuple(-v for v in d)
-        if any(v < 0 for v in d):
-            continue
-        rays.add(Ray(d))
-    return sorted(rays)
+    return sorted({Ray(d) for d in _orthant_kernels(sorted(normals), n)})
 
 
 def ideal_forms(ideal: MonomialIdeal):

@@ -169,12 +169,3 @@ def exponent_box(bounds):
     """Iterate the integer box prod_i [0, bounds[i]]."""
     return iter_product(*(range(b + 1) for b in bounds))
 
-
-def total_degree(beta):
-    return sum(beta)
-
-
-def as_weights(alpha) -> WeightVector:
-    if isinstance(alpha, WeightVector):
-        return alpha
-    return WeightVector.of(*[as_rat(a) for a in alpha])

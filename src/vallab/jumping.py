@@ -5,16 +5,17 @@ The engine computes
     lct(q, lam * q'; a_eff) = min over rays gamma of
         (sum(gamma) + v_gamma(q) + lam * v_gamma(q')) / den(gamma)
 
-where den is v_gamma(a) for an ideal or the asymptotic value for a
-graded sequence, and the rays run over the extreme rays of the common
-refinement of the normal fans of all participating data
-(:func:`vallab.geometry.critical_rays`).  Minimizing over those rays is
-exact: on every cone of the refinement numerator and denominator are
-linear, so the ratio is minimized at an extreme ray, provided the
-numerator is nonnegative at every candidate ray.  For lam >= 0 that is
-automatic; for lam < 0 the engine computes the largest eps such that the
-numerator stays positive at all candidate rays and rejects lam <= -eps,
-which makes the standing positivity assumption checkable per query.
+where den is the asymptotic value of a graded sequence (v_gamma(a) for
+the powers of an ideal a, the case :func:`lct_mixed`), and the rays run
+over the extreme rays of the common refinement of the normal fans of
+all participating data (:func:`vallab.geometry.critical_rays`).
+Minimizing over those rays is exact: on every cone of the refinement
+numerator and denominator are linear, so the ratio is minimized at an
+extreme ray, provided the numerator is nonnegative at every candidate
+ray.  For lam >= 0 that is automatic; for lam < 0 the engine computes
+the largest eps such that the numerator stays positive at all candidate
+rays and rejects lam <= -eps, which makes the standing positivity
+assumption checkable per query.
 
 The value is infinity exactly when no candidate ray gives the
 denominator a positive value (the unit ideal / trivial sequence).
@@ -29,7 +30,8 @@ from .errors import (DimensionMismatchError, NegativityViolationError,
 from .geometry import Ray, critical_rays, ideal_forms
 from .ideals import MonomialIdeal, WeightVector
 from .scalars import INFINITY, as_rat, is_finite
-from .valuations import GradedSeq, ValSeq, value_on_graded, value_on_ideal
+from .valuations import (GradedSeq, PowersSeq, ValSeq, value_on_graded,
+                         value_on_ideal)
 
 
 @dataclass(frozen=True)
@@ -67,21 +69,22 @@ class LctResult:
         return not is_finite(self.value)
 
 
-def _check_dims(*objs):
-    dims = {o.dim for o in objs if o is not None}
+def lct_mixed_graded(q: MonomialIdeal, lam, qprime: Optional[MonomialIdeal],
+                     seq) -> LctResult:
+    """Mixed jumping number lct(q, lam * q'; seq) of a graded sequence."""
+    if not isinstance(seq, GradedSeq):
+        raise TypeError(f"not a graded sequence: {seq!r}")
+    dims = {o.dim for o in (q, qprime, seq) if o is not None}
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed ambient dimensions {sorted(dims)}")
-    return dims.pop()
-
-
-def _evaluate(q, lam, qprime, den_forms, den_value, n, dim_cap=None):
+    n = dims.pop()
     lam = as_rat(lam)
     q.require_nonzero("jumping-number ideal q")
     qprime = MonomialIdeal.unit(n) if qprime is None else qprime
     qprime.require_nonzero("mixing ideal q'")
 
-    families = [ideal_forms(q), ideal_forms(qprime), den_forms]
-    rays = critical_rays(families, n, dim_cap=dim_cap)
+    families = [ideal_forms(q), ideal_forms(qprime), seq.linear_forms()]
+    rays = critical_rays(families, n)
 
     certificates = {}
     bound = None
@@ -90,7 +93,7 @@ def _evaluate(q, lam, qprime, den_forms, den_value, n, dim_cap=None):
             log_disc=Fraction(sum(ray.direction)),
             vq=value_on_ideal(ray.direction, q),
             vqprime=value_on_ideal(ray.direction, qprime),
-            va=den_value(ray.direction),
+            va=value_on_graded(ray.direction, seq),
         )
         certificates[ray] = cert
         if cert.vqprime > 0:
@@ -117,22 +120,14 @@ def _evaluate(q, lam, qprime, den_forms, den_value, n, dim_cap=None):
 
 
 def lct_mixed(q: MonomialIdeal, lam, qprime: Optional[MonomialIdeal],
-              a: MonomialIdeal, dim_cap=None) -> LctResult:
-    """Mixed jumping number lct(q, lam * q'; a) of a monomial ideal."""
-    a.require_nonzero("ideal a")
-    n = _check_dims(q, qprime, a)
-    return _evaluate(q, lam, qprime, ideal_forms(a),
-                     lambda g: value_on_ideal(g, a), n, dim_cap)
+              a: MonomialIdeal) -> LctResult:
+    """Mixed jumping number lct(q, lam * q'; a) of a monomial ideal.
 
-
-def lct_mixed_graded(q: MonomialIdeal, lam, qprime: Optional[MonomialIdeal],
-                     seq, dim_cap=None) -> LctResult:
-    """Mixed jumping number of a graded sequence, by the same ray minimum."""
-    if not isinstance(seq, GradedSeq):
-        raise TypeError(f"not a graded sequence: {seq!r}")
-    n = _check_dims(q, qprime, seq)
-    return _evaluate(q, lam, qprime, list(seq.linear_forms()),
-                     lambda g: value_on_graded(g, seq), n, dim_cap)
+    An ideal enters only through its powers: lct(q, lam q'; a) is the
+    jumping number of the sequence a^m.
+    """
+    return lct_mixed_graded(q, lam, qprime,
+                            PowersSeq(a.require_nonzero("ideal a")))
 
 
 @dataclass(frozen=True)
@@ -150,22 +145,22 @@ class TransferReport:
 
 
 def compute_transfer_check(alpha: WeightVector, q: MonomialIdeal, lam,
-                           qprime: Optional[MonomialIdeal], seq,
-                           dim_cap=None) -> TransferReport:
+                           qprime: Optional[MonomialIdeal],
+                           seq) -> TransferReport:
     """Check the compute-transfer identity for a minimizing valuation.
 
     Requires val_alpha to attain the mixed jumping number of ``seq``
     (its ray must be a reported minimizer); raises NotAMinimizerError
     otherwise.
     """
-    base = lct_mixed_graded(q, lam, qprime, seq, dim_cap=dim_cap)
+    base = lct_mixed_graded(q, lam, qprime, seq)
     alpha_ray = Ray.from_vector(alpha.alpha)
     if alpha_ray not in base.minimizing_rays:
         raise NotAMinimizerError(
             f"val_{alpha.alpha} does not attain the jumping number "
             f"{base.value} (minimizers: "
             f"{', '.join(map(str, base.minimizing_rays)) or 'none'})")
-    lhs = lct_mixed_graded(q, lam, qprime, ValSeq(alpha), dim_cap=dim_cap).value
+    lhs = lct_mixed_graded(q, lam, qprime, ValSeq(alpha)).value
     seq_value = value_on_graded(alpha, seq)
     rhs = seq_value * base.value
     return TransferReport(lhs, rhs, seq_value, base.value)

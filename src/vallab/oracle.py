@@ -17,12 +17,11 @@ by containment alone.)
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .config import dimension_cap
 from .errors import CrossCheckError, DimensionCapError
 from .geometry import newton_polyhedron
-from .ideals import MonomialIdeal, minimal_antichain
+from .ideals import MonomialIdeal, exponent_box, minimal_antichain
 from .scalars import INFINITY, as_rat, floor_rat
 from .valuations import value_on_ideal
 
@@ -41,7 +40,7 @@ def _strict_lower_bound(x):
     return max(0, floor_rat(x) + 1)
 
 
-def howald_multiplier(a: MonomialIdeal, c, dim_cap=None) -> MultiplierIdealResult:
+def howald_multiplier(a: MonomialIdeal, c) -> MultiplierIdealResult:
     """The multiplier ideal J(c * a) of a monomial ideal, exactly.
 
     Minimal generators are found by a bounded lattice search: a minimal
@@ -54,7 +53,7 @@ def howald_multiplier(a: MonomialIdeal, c, dim_cap=None) -> MultiplierIdealResul
         raise ValueError("multiplier coefficient must be positive")
     a.require_nonzero("multiplier-ideal argument")
     n = a.dim
-    cap = dimension_cap(dim_cap)
+    cap = dimension_cap()
     if n > cap:
         raise DimensionCapError(f"dimension {n} exceeds cap {cap}")
 
@@ -70,7 +69,7 @@ def howald_multiplier(a: MonomialIdeal, c, dim_cap=None) -> MultiplierIdealResul
         bounds.append(max(per_facet) if per_facet else 0)
 
     gens = []
-    for prefix in iter_product(*(range(b + 1) for b in bounds[:-1])):
+    for prefix in exponent_box(bounds[:-1]):
         lower = 0
         feasible = True
         for nu, off in facets:
@@ -101,7 +100,7 @@ def _contains(q: MonomialIdeal, a: MonomialIdeal, lam) -> bool:
     return howald_multiplier(a, lam).ideal.contains_ideal(q)
 
 
-def jumping_number_oracle(q: MonomialIdeal, a: MonomialIdeal, dim_cap=None):
+def jumping_number_oracle(q: MonomialIdeal, a: MonomialIdeal):
     """min{lambda : q not contained in J(a^lambda)}, or INFINITY for unit a.
 
     The value is the smallest facet-crossing threshold of the generators
@@ -125,7 +124,7 @@ def jumping_number_oracle(q: MonomialIdeal, a: MonomialIdeal, dim_cap=None):
     value = min(crossings)
 
     from .jumping import lct_mixed  # candidate ratios only; judged below
-    engine = lct_mixed(q, 0, None, a, dim_cap=dim_cap)
+    engine = lct_mixed(q, 0, None, a)
     candidates = set(crossings)
     candidates.update(cert.ratio(0) for cert in engine.certificates.values()
                       if cert.va > 0)
@@ -167,8 +166,7 @@ class GrowthReport:
         return all(e.slack > 0 for e in self.entries)
 
 
-def controlled_growth_check(a: MonomialIdeal, rays, t_values,
-                            dim_cap=None) -> GrowthReport:
+def controlled_growth_check(a: MonomialIdeal, rays, t_values) -> GrowthReport:
     """Controlled-growth slacks of the multiplier system b_t = J(t * a).
 
     For each listed ray gamma and time t the report records
@@ -181,7 +179,7 @@ def controlled_growth_check(a: MonomialIdeal, rays, t_values,
     if not ts or ts[0] <= 0:
         raise ValueError("t values must be positive")
     t_max = ts[-1]
-    b = {t: howald_multiplier(a, t, dim_cap=dim_cap).ideal for t in ts}
+    b = {t: howald_multiplier(a, t).ideal for t in ts}
 
     entries = []
     for ray in rays:

@@ -68,12 +68,6 @@ def floor_rat(x) -> int:
     return math.floor(as_rat(x))
 
 
-def next_int_above(x) -> int:
-    """Least integer strictly greater than the exact rational x."""
-    x = as_rat(x)
-    return floor_rat(x) + 1
-
-
 def format_rat(x) -> str:
     """Serialize exactly: 'p/q', bare 'p' for integers, or 'infinity'."""
     if isinstance(x, InfinityType):

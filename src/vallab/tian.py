@@ -71,10 +71,6 @@ class PLConcave:
     def slope_at_infinity(self):
         return self.pieces[-1].slope
 
-    @property
-    def breakpoints(self):
-        return tuple(p.start for p in self.pieces)
-
     def is_linear_from(self, t0):
         """No breakpoint strictly beyond t0."""
         t0 = as_rat(t0)
@@ -120,15 +116,14 @@ def lower_envelope(lines, domain_min):
     return tuple(pieces)
 
 
-def tian_function(q: MonomialIdeal, qprime: MonomialIdeal, seq,
-                  dim_cap=None) -> PLConcave:
+def tian_function(q: MonomialIdeal, qprime: MonomialIdeal, seq) -> PLConcave:
     """The exact Tian function of a graded sequence.
 
     Raises InfiniteLctError when lct^q of the sequence is infinite (no
     candidate ray sees the sequence), since the function would be
     identically infinite.
     """
-    probe = lct_mixed_graded(q, 0, qprime, seq, dim_cap=dim_cap)
+    probe = lct_mixed_graded(q, 0, qprime, seq)
     if probe.is_infinite:
         raise InfiniteLctError("Tian function of a sequence with infinite lct")
     lines = []
@@ -165,19 +160,19 @@ class CriterionVerdict:
                  "over all nonzero ideals")
 
 
-def zhou_criterion(alpha: WeightVector, q: MonomialIdeal, test_family,
-                   dim_cap=None) -> CriterionVerdict:
+def zhou_criterion(alpha: WeightVector, q: MonomialIdeal,
+                   test_family) -> CriterionVerdict:
     """Test lct = 1 plus linearity/differentiability over a test family."""
     if not test_family:
         raise ValueError("test family must be nonempty")
     seq = ValSeq(alpha)
-    base = lct_mixed_graded(q, 0, None, seq, dim_cap=dim_cap)
+    base = lct_mixed_graded(q, 0, None, seq)
     if base.is_infinite:
         raise InfiniteLctError("criterion needs a finite jumping number")
     if base.value != 1:
         return CriterionVerdict(False, f"lct != 1 (got {base.value})")
     for k, qprime in enumerate(test_family):
-        f = tian_function(q, qprime, seq, dim_cap=dim_cap)
+        f = tian_function(q, qprime, seq)
         if not f.is_linear_from(0):
             return CriterionVerdict(
                 False, f"Tian function not linear on [0, inf) for family "

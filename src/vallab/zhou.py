@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import (CrossCheckError, DimensionMismatchError,
                      NonUniqueMinimizerError, NormalizationError)
-from .geometry import Ray, critical_rays, ideal_forms
+from .geometry import Ray, critical_rays
 from .ideals import MonomialIdeal, WeightVector
 from .jumping import lct_mixed, lct_mixed_graded
 from .oracle import howald_multiplier
 from .scalars import as_rat, is_finite
-from .valuations import ValSeq, log_discrepancy, value_on_graded, \
-    value_on_ideal
+from .valuations import (PowersSeq, ValSeq, log_discrepancy, value_on_graded,
+                         value_on_ideal)
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class ZhouCertificate:
     nonproportional_minimizers: tuple = ()
 
 
-def zhou_rescale(alpha: WeightVector, q: MonomialIdeal,
-                 dim_cap=None) -> ZhouCertificate:
+def zhou_rescale(alpha: WeightVector, q: MonomialIdeal) -> ZhouCertificate:
     """Rescale val_alpha to a certified Zhou valuation related to q."""
     q.require_nonzero("certificate ideal q")
     if alpha.dim != q.dim:
@@ -51,7 +50,7 @@ def zhou_rescale(alpha: WeightVector, q: MonomialIdeal,
     c = log_discrepancy(alpha) + value_on_ideal(alpha, q)
     normalized = alpha.scale(Fraction(1) / c)
 
-    result = lct_mixed_graded(q, 0, None, ValSeq(normalized), dim_cap=dim_cap)
+    result = lct_mixed_graded(q, 0, None, ValSeq(normalized))
     if result.value != 1:
         raise CrossCheckError(
             f"normalized jumping number is {result.value}, expected 1")
@@ -74,15 +73,14 @@ def zhou_rescale(alpha: WeightVector, q: MonomialIdeal,
     return ZhouCertificate(alpha, c, normalized, result.value, identity)
 
 
-def val_membership(alpha: WeightVector, q: MonomialIdeal,
-                   dim_cap=None) -> bool:
+def val_membership(alpha: WeightVector, q: MonomialIdeal) -> bool:
     """Membership in the cone {v : lct^q(a_seq^v) <= 1}."""
     q.require_nonzero("membership ideal q")
-    result = lct_mixed_graded(q, 0, None, ValSeq(alpha), dim_cap=dim_cap)
+    result = lct_mixed_graded(q, 0, None, ValSeq(alpha))
     return is_finite(result.value) and result.value <= 1
 
 
-def example_zhou_data(alpha: WeightVector, k, dim_cap=None) -> MonomialIdeal:
+def example_zhou_data(alpha: WeightVector, k) -> MonomialIdeal:
     """The worked monomial family: q = (z^(k-1)) for sum alpha_i k_i = 1.
 
     Checks the normalization identity exactly and asserts that
@@ -98,7 +96,7 @@ def example_zhou_data(alpha: WeightVector, k, dim_cap=None) -> MonomialIdeal:
         raise NormalizationError(
             f"sum alpha_i k_i = {total} != 1; rescale alpha first")
     q = MonomialIdeal.from_exponents([tuple(v - 1 for v in k)])
-    cert = zhou_rescale(alpha, q, dim_cap=dim_cap)
+    cert = zhou_rescale(alpha, q)
     if cert.scale != 1:
         raise CrossCheckError(f"expected scale 1, got {cert.scale}")
     return q
@@ -117,40 +115,22 @@ class ComparisonResult:
     witnesses: tuple  # rays with a strict value gap, one per direction
 
 
-def singularity_compare(a: MonomialIdeal, aprime: MonomialIdeal,
-                        dim_cap=None) -> ComparisonResult:
+def singularity_compare(a: MonomialIdeal,
+                        aprime: MonomialIdeal) -> ComparisonResult:
     """Order two ideals by Newton-polyhedron containment.
 
     ``MORE_SINGULAR`` means Newt(a) is contained in Newt(a'),
     equivalently v_gamma(a) >= v_gamma(a') on every ray of the joint
-    refinement; the witnesses carry a strict inequality.
+    refinement; the witnesses carry a strict inequality.  This is the
+    comparison of the power sequences of the two ideals.
     """
-    a.require_nonzero("compared ideal")
-    aprime.require_nonzero("compared ideal")
-    if a.dim != aprime.dim:
-        raise DimensionMismatchError("ideal dimensions differ")
-    rays = critical_rays([ideal_forms(a), ideal_forms(aprime)], a.dim,
-                         dim_cap=dim_cap)
-    above = []
-    below = []
-    for ray in rays:
-        va = value_on_ideal(ray.direction, a)
-        vp = value_on_ideal(ray.direction, aprime)
-        if va > vp:
-            above.append(ray)
-        elif va < vp:
-            below.append(ray)
-    if not above and not below:
-        return ComparisonResult(Ordering.EQUAL, ())
-    if not below:
-        return ComparisonResult(Ordering.MORE_SINGULAR, tuple(above))
-    if not above:
-        return ComparisonResult(Ordering.LESS_SINGULAR, tuple(below))
-    return ComparisonResult(Ordering.INCOMPARABLE, (above[0], below[0]))
+    return singularity_compare_graded(
+        PowersSeq(a.require_nonzero("compared ideal")),
+        PowersSeq(aprime.require_nonzero("compared ideal")))
 
 
-def singularity_compare_graded(seq_a, seq_b, dim_cap=None) -> ComparisonResult:
-    """The same order for graded sequences, via values at critical rays.
+def singularity_compare_graded(seq_a, seq_b) -> ComparisonResult:
+    """The singularity order of graded sequences, via values at critical rays.
 
     Both asymptotic value functions are piecewise-linear minima, so
     comparing them on the extreme rays of their joint refinement decides
@@ -158,9 +138,8 @@ def singularity_compare_graded(seq_a, seq_b, dim_cap=None) -> ComparisonResult:
     """
     if seq_a.dim != seq_b.dim:
         raise DimensionMismatchError("sequence dimensions differ")
-    rays = critical_rays([list(seq_a.linear_forms()),
-                          list(seq_b.linear_forms())], seq_a.dim,
-                         dim_cap=dim_cap)
+    rays = critical_rays([seq_a.linear_forms(), seq_b.linear_forms()],
+                         seq_a.dim)
     above = []
     below = []
     for ray in rays:
@@ -179,8 +158,7 @@ def singularity_compare_graded(seq_a, seq_b, dim_cap=None) -> ComparisonResult:
     return ComparisonResult(Ordering.INCOMPARABLE, (above[0], below[0]))
 
 
-def asymptotic_membership(q: MonomialIdeal, lam, a: MonomialIdeal,
-                          dim_cap=None) -> bool:
+def asymptotic_membership(q: MonomialIdeal, lam, a: MonomialIdeal) -> bool:
     """q contained in the asymptotic multiplier ideal at coefficient lam.
 
     True iff lct^q(a-powers) > lam.  The answer is recomputed through
@@ -190,10 +168,9 @@ def asymptotic_membership(q: MonomialIdeal, lam, a: MonomialIdeal,
     lam = as_rat(lam)
     if lam <= 0:
         raise ValueError("membership coefficient must be positive")
-    engine = lct_mixed(q, 0, None, a, dim_cap=dim_cap)
+    engine = lct_mixed(q, 0, None, a)
     answer = engine.value > lam
-    oracle_answer = howald_multiplier(a, lam, dim_cap=dim_cap) \
-        .ideal.contains_ideal(q)
+    oracle_answer = howald_multiplier(a, lam).ideal.contains_ideal(q)
     if answer != oracle_answer:
         raise CrossCheckError(
             f"engine says lct = {engine.value} (membership {answer}) but "
@@ -227,15 +204,14 @@ class SandwichReport:
         return self.gamma_k == self.log_disc + self.k * self.vq
 
 
-def power_sandwich(alpha: WeightVector, q: MonomialIdeal, k: int,
-                   dim_cap=None) -> SandwichReport:
+def power_sandwich(alpha: WeightVector, q: MonomialIdeal,
+                   k: int) -> SandwichReport:
     """Two-sided approximation of v(q) through q-power jumping numbers."""
     k = int(k)
     if k < 1:
         raise ValueError("power must be a positive integer")
     q.require_nonzero("sandwich ideal q")
-    gamma_k = lct_mixed_graded(q.power(k), 0, None, ValSeq(alpha),
-                               dim_cap=dim_cap).value
+    gamma_k = lct_mixed_graded(q.power(k), 0, None, ValSeq(alpha)).value
     report = SandwichReport(k, gamma_k, value_on_ideal(alpha, q),
                             log_discrepancy(alpha))
     if not report.holds:

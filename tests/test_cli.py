@@ -7,9 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from vallab import MixedVariableSetsError, ParseError
-from vallab.cli import (build_problem, parse_ideal, parse_path, parse_seq,
-                        parse_weights, render_ideal, run)
+from vallab import DimensionMismatchError, MixedVariableSetsError, ParseError
+from vallab.cli import (build_parser, build_problem, parse_ideal, parse_path,
+                        parse_seq, parse_weights, run)
 from vallab.valuations import EnlargedSeq, PowersSeq, ValSeq
 
 
@@ -72,12 +72,12 @@ class TestParseIdeal:
     def test_round_trip(self):
         for text in ("x^2, y^3", "x*y", "1", "x^2*y, z^4", "y^5"):
             ideal = parse_ideal(text, dim=3)
-            assert parse_ideal(render_ideal(ideal), dim=3) == ideal
+            assert parse_ideal(str(ideal), dim=3) == ideal
 
     def test_round_trip_indexed_variables(self):
         for text in ("x1^2*x4, x2^3", "x3", "1"):
             ideal = parse_ideal(text, dim=4)
-            assert parse_ideal(render_ideal(ideal), dim=4) == ideal
+            assert parse_ideal(str(ideal), dim=4) == ideal
 
 
 class TestParseSeqAndPath:
@@ -129,6 +129,19 @@ class TestProblemAssembly:
                              {"seq": "val:1/2,1/3,1/4"}, {"lam": F(0)})
         assert spec.dim == 3
         assert spec.ideals["q"].generators == ((1, 0, 0),)
+
+    def test_dim_flag_forces_the_dimension(self):
+        ideals = {"q": "x", "a": "x^2, y^3"}
+        spec = build_problem("lct", ideals, {}, {}, {"lam": F(0)},
+                             dim_flag=3)
+        assert spec.dim == 3
+        assert spec.ideals["a"].generators == ((0, 3, 0), (2, 0, 0))
+        with pytest.raises(DimensionMismatchError):
+            build_problem("lct", ideals, {}, {}, {"lam": F(0)}, dim_flag=1)
+        for dim in (0, -1):
+            with pytest.raises(ParseError):
+                build_problem("lct", ideals, {}, {}, {"lam": F(0)},
+                              dim_flag=dim)
 
 
 class TestCommands:
@@ -262,6 +275,9 @@ class TestCommands:
         doc = run_json(capsys, "lct", "--q", "x", "--a", "-")
         assert doc["value"] == "4/3"
 
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_no_decimal_floats_anywhere(self, capsys):
         doc = run_json(capsys, "lct", "--q", "x", "--qprime", "y",
                        "--lambda", "-1/4", "--a", "x^2, y^3")
@@ -322,3 +338,31 @@ class TestExitCodes:
         doc = run_json(capsys, *argv)
         # gamma = (1/2, 1/3, 1, 1, 1) normalizes v(a) to 1 at minimal cost
         assert doc["value"] == "13/3"
+
+    @pytest.mark.parametrize("value", ["abc", "4.5", "0", "-1"])
+    def test_bad_dimension_cap_env_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("VALLAB_DIM_CAP", value)
+        status, out, err = run_cli(capsys, "lct", "--q", "x", "--a",
+                                   "x^2, y^3")
+        assert status == 3 and out == ""
+        assert err.startswith("DimensionCap: ")
+        assert f"VALLAB_DIM_CAP={value!r}" in err
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_nonpositive_dim_is_2(self, capsys, dim):
+        status, out, err = run_cli(capsys, "--dim", dim, "lct", "--q", "x",
+                                   "--a", "x^2, y^3")
+        assert status == 2 and out == ""
+        assert "--dim must be at least 1" in err
+
+    def test_dim_below_inputs_is_3(self, capsys):
+        for argv in (["lct", "--q", "x", "--a", "x^2, y^3"],
+                     ["lct", "--q", "x", "--seq", "val:1/2,1/3"],
+                     ["zhou", "rescale", "--alpha", "1/2,1/3", "--q", "x"]):
+            status, out, err = run_cli(capsys, "--dim", "1", *argv)
+            assert status == 3 and out == ""
+            assert err.startswith("DimensionMismatch: ")
+
+    def test_empty_denominator_ideal_is_2(self, capsys):
+        status, _, err = run_cli(capsys, "lct", "--q", "x", "--a", "")
+        assert status == 2 and "empty ideal text" in err

@@ -133,12 +133,23 @@ class TestCriticalRays:
             assert all(v >= 0 for v in r.direction)
             assert gcd(*r.direction) == 1
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         with pytest.raises(DimensionCapError):
             critical_rays([[(1,) * 5]], 5)
-        # explicit override admits the larger dimension
-        rays = critical_rays([[(1,) * 5]], 5, dim_cap=5)
+        # the environment override admits the larger dimension
+        monkeypatch.setenv("VALLAB_DIM_CAP", "5")
+        rays = critical_rays([[(1,) * 5]], 5)
         assert len(rays) == 5
+
+    def test_cap_has_no_per_call_override(self):
+        import inspect
+
+        import vallab
+        functions = [getattr(vallab, name) for name in vallab.__all__
+                     if inspect.isfunction(getattr(vallab, name))]
+        assert len(functions) > 20
+        assert [f.__name__ for f in functions
+                if "dim_cap" in inspect.signature(f).parameters] == []
 
     def test_dimension_one(self):
         assert critical_rays([[(7,), (2,)]], 1) == [Ray((1,))]

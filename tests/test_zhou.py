@@ -62,8 +62,8 @@ class TestZhouRescale:
         from vallab import NonUniqueMinimizerError
         real = zhou_mod.lct_mixed_graded
 
-        def doctored(q, lam, qprime, seq, dim_cap=None):
-            result = real(q, lam, qprime, seq, dim_cap=dim_cap)
+        def doctored(q, lam, qprime, seq):
+            result = real(q, lam, qprime, seq)
             rays = result.minimizing_rays + (Ray((1, 1)),)
             return type(result)(result.value, result.lam, rays,
                                 result.certificates, result.lambda_bound)
