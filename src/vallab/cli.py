@@ -397,8 +397,7 @@ def _cmd_compare(spec):
 def _cmd_enlarge_check(spec):
     base = spec.seqs["seq"]
     if not isinstance(base, ValSeq):
-        raise DimensionMismatchError(
-            "enlarge-check needs a val: base sequence")
+        raise ParseError("enlarge-check needs a val: base sequence")
     qprime = spec.ideals["qprime"]
     beta = spec.params["beta"]
     enlarged = EnlargedSeq(base, qprime, beta)
@@ -470,8 +469,13 @@ def _cmd_oracle_mult(spec):
 
 
 def _cmd_oracle_growth(spec):
-    rays = [Ray.from_vector(tuple(int(c) for c in chunk.split(",")))
-            for chunk in spec.params["rays"].split(";")]
+    try:
+        vectors = [tuple(int(c) for c in chunk.split(","))
+                   for chunk in spec.params["rays"].split(";")]
+    except ValueError as exc:
+        raise ParseError(f"bad --rays {spec.params['rays']!r} (want integer "
+                         f"rays like '3,2;1,1')") from exc
+    rays = [Ray.from_vector(v) for v in vectors]
     report = controlled_growth_check(spec.ideals["a"], rays,
                                      spec.params["t_values"])
     return {
@@ -636,14 +640,14 @@ def run_command(spec: ProblemSpec):
 
 
 _NEG_RATIONAL_LIST = re.compile(r"-\d+(/\d+)?(,-?\d+(/\d+)?)*\Z")
-_VALUE_FLAGS = ("--lambda", "--t", "--n", "--beta", "--alpha", "--samples")
 
 
 def _join_negative_values(argv):
-    """Let ``--lambda -1/4`` parse: argparse treats bare '-1/4' as a flag."""
+    """Join a negative rational (list) to the ``--flag`` before it: every
+    flag takes one value, but argparse alone reads '-1/4' as a flag."""
     out = []
     for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS and _NEG_RATIONAL_LIST.match(tok):
+        if out and out[-1].startswith("--") and _NEG_RATIONAL_LIST.match(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -196,7 +196,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """Facet description of the Newton polyhedron of a monomial ideal.
 
     Pure function of an immutable input, so results are memoized; the
-    multiplier-ideal oracle probes the same polyhedron many times.
+    multiplier-ideal oracle uses one polyhedron at many coefficients.
     """
     ideal.require_nonzero("ideal of a Newton polyhedron")
     gens = ideal.generators

@@ -23,12 +23,11 @@ def dominates(beta, gamma):
 
 def minimal_antichain(points):
     """Minimal elements of a finite set of exponent vectors, sorted."""
-    pts = sorted(set(points))
     keep = []
-    for p in pts:
-        if any(q != p and dominates(p, q) for q in pts):
-            continue
-        keep.append(p)
+    # in lexicographic order every point dominating another comes after it
+    for p in sorted(set(points)):
+        if not any(dominates(p, q) for q in keep):
+            keep.append(p)
     return tuple(keep)
 
 

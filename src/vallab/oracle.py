@@ -10,16 +10,14 @@ convention min{lambda : q not contained in J(a^lambda)}.
 Everything here is decided by exact lattice searches and facet slacks,
 with no reference to the ray-minimization engine, so agreement between
 :func:`jumping_number_oracle` and :func:`vallab.jumping.lct_mixed` is a
-genuine cross-validation.  (The confirmation sweep does fold the
-engine's candidate ratios into the probe set, but every probe is judged
-by containment alone.)
+genuine cross-validation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import dimension_cap
-from .errors import CrossCheckError, DimensionCapError
+from .errors import DimensionCapError, DimensionMismatchError
 from .geometry import newton_polyhedron
 from .ideals import MonomialIdeal, exponent_box, minimal_antichain
 from .scalars import INFINITY, as_rat, floor_rat
@@ -40,6 +38,12 @@ def _strict_lower_bound(x):
     return max(0, floor_rat(x) + 1)
 
 
+def _require_within_cap(n):
+    cap = dimension_cap()
+    if n > cap:
+        raise DimensionCapError(f"dimension {n} exceeds cap {cap}")
+
+
 def howald_multiplier(a: MonomialIdeal, c) -> MultiplierIdealResult:
     """The multiplier ideal J(c * a) of a monomial ideal, exactly.
 
@@ -53,9 +57,7 @@ def howald_multiplier(a: MonomialIdeal, c) -> MultiplierIdealResult:
         raise ValueError("multiplier coefficient must be positive")
     a.require_nonzero("multiplier-ideal argument")
     n = a.dim
-    cap = dimension_cap()
-    if n > cap:
-        raise DimensionCapError(f"dimension {n} exceeds cap {cap}")
+    _require_within_cap(n)
 
     newt = newton_polyhedron(a)
     facets = newt.nontrivial_facets
@@ -95,57 +97,25 @@ def howald_multiplier(a: MonomialIdeal, c) -> MultiplierIdealResult:
     return MultiplierIdealResult(c, ideal, witness)
 
 
-def _contains(q: MonomialIdeal, a: MonomialIdeal, lam) -> bool:
-    """q contained in J(lam * a), decided by the lattice interior test."""
-    return howald_multiplier(a, lam).ideal.contains_ideal(q)
-
-
 def jumping_number_oracle(q: MonomialIdeal, a: MonomialIdeal):
     """min{lambda : q not contained in J(a^lambda)}, or INFINITY for unit a.
 
-    The value is the smallest facet-crossing threshold of the generators
-    of q against Newt(a).  A confirmation sweep then probes containment
-    at every candidate value (facet crossings plus the engine's ray
-    ratios) and at midpoints between consecutive candidates; any
-    inconsistency raises CrossCheckError.
+    By Howald's theorem q lies in J(c * a) iff every generator m of q has
+    m + (1,...,1) strictly inside c * Newt(a), so the value is the least
+    facet-crossing threshold <nu, m + 1> / off over the generators m of q
+    and the nontrivial facets (nu, off) of Newt(a).
     """
     q.require_nonzero("jumping-number ideal q")
     a.require_nonzero("jumping-number ideal a")
     if a.is_unit:
         return INFINITY
-
-    newt = newton_polyhedron(a)
-    facets = newt.nontrivial_facets
-    crossings = set()
-    for m in q.generators:
-        shifted = tuple(e + 1 for e in m)
-        for nu, off in facets:
-            crossings.add(Fraction(sum(v * s for v, s in zip(nu, shifted)), off))
-    value = min(crossings)
-
-    from .jumping import lct_mixed  # candidate ratios only; judged below
-    engine = lct_mixed(q, 0, None, a)
-    candidates = set(crossings)
-    candidates.update(cert.ratio(0) for cert in engine.certificates.values()
-                      if cert.va > 0)
-    candidates = sorted(candidates)
-
-    probes = []
-    previous = Fraction(0)
-    for cand in candidates:
-        probes.append((previous + cand) / 2)
-        probes.append(cand)
-        previous = cand
-        if cand >= value:
-            break
-    failure = next((p for p in probes if not _contains(q, a, p)), None)
-    if failure != value:
-        raise CrossCheckError(
-            f"containment sweep failed at {failure}, thresholds give {value}")
-    for p in probes:
-        if p < value and not _contains(q, a, p):
-            raise CrossCheckError(f"containment lost below the minimum at {p}")
-    return value
+    if q.dim != a.dim:
+        raise DimensionMismatchError(
+            f"mixed ambient dimensions {sorted({q.dim, a.dim})}")
+    _require_within_cap(a.dim)
+    facets = newton_polyhedron(a).nontrivial_facets
+    return min(Fraction(sum(v * (e + 1) for v, e in zip(nu, m)), off)
+               for m in q.generators for nu, off in facets)
 
 
 @dataclass(frozen=True)

@@ -366,3 +366,28 @@ class TestExitCodes:
     def test_empty_denominator_ideal_is_2(self, capsys):
         status, _, err = run_cli(capsys, "lct", "--q", "x", "--a", "")
         assert status == 2 and "empty ideal text" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "mult", "--a", "x^2, y^3", "--c", "-1/2"],
+        ["oracle", "growth", "--a", "x^2, y^3", "--rays", "3,2",
+         "--t-values", "-1,2"],
+    ])
+    def test_negative_value_of_any_flag_is_a_domain_error(self, capsys,
+                                                          argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 3 and out == ""
+        assert err.startswith("PreconditionViolation: ")
+
+    def test_bad_rays_are_a_parse_error_naming_the_flag(self, capsys):
+        status, out, err = run_cli(capsys, "oracle", "growth", "--a",
+                                   "x^2, y^3", "--rays", "3,x",
+                                   "--t-values", "1")
+        assert status == 2 and out == ""
+        assert err.startswith("parse error: ") and "--rays" in err
+
+    def test_non_val_enlarge_base_is_a_parse_error(self, capsys):
+        status, out, err = run_cli(capsys, "enlarge-check", "--q", "x",
+                                   "--qprime", "y", "--seq", "pow:x",
+                                   "--beta", "1")
+        assert status == 2 and out == ""
+        assert err.startswith("parse error: ") and "val:" in err

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from vallab import (INFINITY, DimensionCapError, MonomialIdeal, Ray,
-                    ZeroIdealError, controlled_growth_check, howald_multiplier,
+from vallab import (INFINITY, DimensionCapError, DimensionMismatchError,
+                    MonomialIdeal, Ray, ZeroIdealError,
+                    controlled_growth_check, howald_multiplier,
                     jumping_number_oracle, lct_mixed, newton_polyhedron)
 
 from conftest import rand_ideal
@@ -17,6 +18,10 @@ def ideal(*gens):
 
 
 CUSP = ideal((2, 0), (0, 3))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the oracle must not call this")
 
 
 class TestHowaldMultiplier:
@@ -119,6 +124,61 @@ class TestJumpingNumberOracle:
         at = howald_multiplier(CUSP, value).ideal
         assert below.contains_ideal(ideal((1, 0)))
         assert not at.contains_ideal(ideal((1, 0)))
+
+    def test_independent_of_the_engine(self, monkeypatch):
+        monkeypatch.setattr("vallab.jumping.lct_mixed", _refuse)
+        monkeypatch.setattr("vallab.jumping.lct_mixed_graded", _refuse)
+        assert jumping_number_oracle(ideal((1, 0)), CUSP) == F(4, 3)
+
+    def test_builds_no_multiplier_ideal(self, monkeypatch):
+        monkeypatch.setattr("vallab.oracle.howald_multiplier", _refuse)
+        assert jumping_number_oracle(ideal((1, 0)), CUSP) == F(4, 3)
+
+    def test_large_exponents_answer_at_once(self):
+        q = ideal((300, 300, 300))
+        a = ideal((2, 0, 0), (0, 2, 0), (0, 0, 2))
+        assert jumping_number_oracle(q, a) == F(903, 2)
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            jumping_number_oracle(ideal((1, 0)), ideal((1, 1, 1)))
+
+    def test_dimension_cap(self):
+        big = MonomialIdeal.from_exponents([(1,) * 5])
+        with pytest.raises(DimensionCapError):
+            jumping_number_oracle(big, big)
+
+
+class TestLatticeAgreesWithFacetFormula:
+    """howald_multiplier's lattice search, probed around the jumping number.
+
+    The probes are every facet crossing and every engine ray ratio up to
+    the jumping number, plus the midpoints between consecutive ones:
+    containment must hold strictly below the value and fail at it.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_containment_flips_at_the_jumping_number(self, n):
+        rng = random.Random(4400 + n)
+        for _ in range(30):
+            q = rand_ideal(rng, n, proper=False, max_exp=3)
+            a = rand_ideal(rng, n, max_exp=3)
+            value = jumping_number_oracle(q, a)
+            crossings = {F(sum(v * (e + 1) for v, e in zip(nu, m)), off)
+                         for m in q.generators
+                         for nu, off in newton_polyhedron(a).nontrivial_facets}
+            ratios = {cert.ratio(0) for cert in
+                      lct_mixed(q, 0, None, a).certificates.values()
+                      if cert.va > 0}
+            probes = []
+            previous = F(0)
+            for cand in sorted(c for c in crossings | ratios if c <= value):
+                probes += [(previous + cand) / 2, cand]
+                previous = cand
+            assert probes[-1] == value
+            for p in probes:
+                assert howald_multiplier(a, p).ideal.contains_ideal(q) == \
+                    (p < value), (q, a, p)
 
 
 class TestEngineOracleAgreement:
