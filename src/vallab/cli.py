@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
+from .config import require_within_cap
 from .errors import (CrossCheckError, DimensionMismatchError,
                      MixedVariableSetsError, ParseError, VallabError)
 from .geometry import Ray
@@ -224,7 +225,8 @@ def build_problem(command, ideal_args, weight_args, seq_args, params,
 
     That dimension is ``dim_flag`` when given, and an input that needs a
     larger one raises DimensionMismatchError; otherwise it is the largest
-    dimension any input needs.
+    dimension any input needs.  It is checked against the dimension cap
+    before any exponent vector is built: scanning makes sparse dicts only.
     """
     if dim_flag is not None and dim_flag < 1:
         raise ParseError(f"--dim must be at least 1, got {dim_flag}")
@@ -241,6 +243,7 @@ def build_problem(command, ideal_args, weight_args, seq_args, params,
     for text in weight_args.values():
         needed.append(len(text.split(",")))
     dim = dim_flag or max(needed, default=1)
+    require_within_cap(dim)
 
     spec = ProblemSpec(command, dim=dim, params=dict(params))
     for name, text in ideal_texts.items():

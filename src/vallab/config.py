@@ -1,9 +1,10 @@
 """Runtime configuration knobs.
 
-The only knob is the ambient-dimension cap for the combinatorial ray
-enumeration.  Hyperplane-arrangement enumeration is exponential in the
-dimension, so the default keeps things at desk scale; raise the cap via
-the ``VALLAB_DIM_CAP`` environment variable if you accept the cost.
+The only knob is the ambient-dimension cap for the combinatorial
+enumerations: critical rays, Newton facets and lattice searches are
+exponential in the dimension, so the default keeps things at desk scale;
+raise the cap via the ``VALLAB_DIM_CAP`` environment variable if you
+accept the cost.
 """
 
 import os
@@ -15,15 +16,14 @@ DEFAULT_DIM_CAP = 4
 ENV_DIM_CAP = "VALLAB_DIM_CAP"
 
 
-def dimension_cap():
-    """The active dimension cap: ``VALLAB_DIM_CAP`` if set, else 4.
+def require_within_cap(n):
+    """Raise DimensionCapError when dimension n exceeds the active cap.
 
-    The variable is read on every call.  A value that is not an integer
-    of at least 1 raises DimensionCapError naming the variable.
+    The cap is ``VALLAB_DIM_CAP`` if set, else 4, read on every call.  A
+    value that is not an integer of at least 1 raises DimensionCapError
+    naming the variable.
     """
-    text = os.environ.get(ENV_DIM_CAP)
-    if text is None:
-        return DEFAULT_DIM_CAP
+    text = os.environ.get(ENV_DIM_CAP, str(DEFAULT_DIM_CAP))
     try:
         cap = int(text)
     except ValueError:
@@ -31,4 +31,6 @@ def dimension_cap():
     if cap < 1:
         raise DimensionCapError(
             f"{ENV_DIM_CAP}={text!r} is not a positive integer")
-    return cap
+    if n > cap:
+        raise DimensionCapError(
+            f"dimension {n} exceeds cap {cap}; raise {ENV_DIM_CAP} to force")

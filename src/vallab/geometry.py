@@ -1,13 +1,7 @@
 """Exact polyhedral geometry for monomial data.
 
-Two workhorses live here.
-
-``newton_polyhedron`` computes the facet inequalities of
-conv(generators) + R^n_{>=0}.  Candidate facet hyperplanes are spanned by
-(n-1)-subsets of generator differences and coordinate directions; a
-candidate survives if its active generators and active coordinate rays
-span an (n-1)-dimensional face.  Every true facet hyperplane is spanned
-by such a subset, so the surviving list is exactly the facet list.
+Two workhorses live here; ``newton_polyhedron`` is built on
+``critical_rays``.
 
 ``critical_rays`` enumerates the extreme rays of the common refinement
 of the nonnegative orthant by the hyperplanes {f_i = f_j} for every pair
@@ -18,6 +12,14 @@ ratio of two such minima is therefore minimized at one of the returned
 rays (mediant inequality).  This is the reduction from "infimum over all
 valuations" to a finite minimum in the monomial setting.
 
+``newton_polyhedron`` computes the facet inequalities of
+conv(generators) + R^n_{>=0}.  A facet normal is orthogonal to n-1
+independent vectors among the differences of its active generators and
+the coordinate directions it does not use, so it is a critical ray of
+the one family of generator forms.  Each critical ray is kept when its
+active generators and active coordinate rays span an (n-1)-dimensional
+face, so the surviving list is exactly the facet list.
+
 Everything is exact; no floats anywhere.
 """
 
@@ -27,8 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .config import dimension_cap
-from .errors import DimensionCapError
+from .config import require_within_cap
 from .ideals import MonomialIdeal, minimal_antichain
 
 
@@ -110,21 +111,6 @@ def _sign_canonical(vector):
     return tuple(-v for v in p) if lead < 0 else p
 
 
-def _orthant_kernels(normals, n):
-    """Primitive generators, oriented into the orthant, of the kernel lines
-    of the (n-1)-subsets of ``normals``; lines outside the orthant and
-    subsets of lower rank yield nothing."""
-    for subset in combinations(normals, n - 1):
-        kernel = kernel_basis(list(subset), n)
-        if len(kernel) != 1:
-            continue
-        d = primitive(kernel[0])
-        if all(v <= 0 for v in d):
-            d = tuple(-v for v in d)
-        if all(v >= 0 for v in d):
-            yield d
-
-
 # ---------------------------------------------------------------------------
 # rays
 
@@ -191,34 +177,33 @@ class NewtonPolyhedron:
         return True
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """Facet description of the Newton polyhedron of a monomial ideal.
 
-    Pure function of an immutable input, so results are memoized; the
-    multiplier-ideal oracle uses one polyhedron at many coefficients.
+    Candidate normals are the critical rays of the generator forms, so
+    the dimension cap applies.  Results are memoized because one ideal
+    is asked for its polyhedron several times in a row: by each J(t a)
+    of one ``controlled_growth_check`` call, and by repeated oracle
+    queries on one denominator.  That reuse is short-range, so the
+    cache is small and its memory stays bounded.
     """
     ideal.require_nonzero("ideal of a Newton polyhedron")
     gens = ideal.generators
     n = ideal.dim
 
     units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    diffs = {_sign_canonical(tuple(a - b for a, b in zip(g, h)))
-             for g, h in combinations(gens, 2) if g != h}
-    directions = sorted(diffs | {_sign_canonical(u) for u in units})
-
-    facets = {}
-    for nu in _orthant_kernels(directions, n):
+    facets = []
+    for ray in critical_rays([gens], n):  # sorted and distinct
+        nu = ray.direction
         offset = min(sum(c * g for c, g in zip(nu, b)) for b in gens)
         active = [g for g in gens
                   if sum(c * x for c, x in zip(nu, g)) == offset]
         span = [tuple(a - b for a, b in zip(g, active[0])) for g in active[1:]]
         span += [units[i] for i in range(n) if nu[i] == 0]
         if matrix_rank(span) == n - 1:
-            facets[nu] = int(offset)
-
-    facet_list = tuple(sorted(facets.items()))
-    return NewtonPolyhedron(gens, n, facet_list)
+            facets.append((nu, offset))
+    return NewtonPolyhedron(gens, n, tuple(facets))
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +222,10 @@ def critical_rays(linear_form_families, dimension):
     n = int(dimension)
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    cap = dimension_cap()
-    if n > cap:
-        raise DimensionCapError(
-            f"dimension {n} exceeds cap {cap}; raise VALLAB_DIM_CAP to force")
+    require_within_cap(n)
     for fam in linear_form_families:
         if not fam:
             raise ValueError("each linear-form family must be nonempty")
-
-    if n == 1:
-        return [Ray((1,))]
 
     normals = {_sign_canonical(tuple(Fraction(int(i == j)) for j in range(n)))
                for i in range(n)}
@@ -265,13 +244,17 @@ def critical_rays(linear_form_families, dimension):
             if any(d != 0 for d in diff):
                 normals.add(_sign_canonical(diff))
 
-    return sorted({Ray(d) for d in _orthant_kernels(sorted(normals), n)})
-
-
-def ideal_forms(ideal: MonomialIdeal):
-    """Linear-form family of gamma -> v_gamma(ideal): one form per generator."""
-    ideal.require_nonzero()
-    return [tuple(Fraction(e) for e in g) for g in ideal.generators]
+    rays = set()
+    for subset in combinations(sorted(normals), n - 1):
+        kernel = kernel_basis(list(subset), n)
+        if len(kernel) != 1:
+            continue
+        d = primitive(kernel[0])
+        if all(v <= 0 for v in d):
+            d = tuple(-v for v in d)
+        if all(v >= 0 for v in d):
+            rays.add(Ray(d))
+    return sorted(rays)
 
 
 __all__ = [
@@ -279,7 +262,6 @@ __all__ = [
     "NewtonPolyhedron",
     "newton_polyhedron",
     "critical_rays",
-    "ideal_forms",
     "primitive",
     "proportional",
     "minimal_antichain",

@@ -164,7 +164,20 @@ def monomial_str(beta, names):
     return "*".join(parts) if parts else "1"
 
 
-def exponent_box(bounds):
-    """Iterate the integer box prod_i [0, bounds[i]]."""
-    return iter_product(*(range(b + 1) for b in bounds))
+def staircase(bounds, least):
+    """Minimal lattice points of an upward-closed region, sorted.
+
+    The region holds (p, t) for every prefix p in the box
+    prod_i [0, bounds[i]] with ``least(p)`` not None and t >= least(p).
+    ``least`` must be nonincreasing in p, with upward-closed feasible
+    prefixes, and the box must hold the prefix of every minimal point.
+    Then (p, least(p)) is minimal exactly when lowering any positive
+    entry of p changes ``least``, so no pairwise filter is needed.
+    """
+    for p in iter_product(*(range(b + 1) for b in bounds)):
+        t = least(p)
+        if t is not None and all(
+                e == 0 or least(p[:i] + (e - 1,) + p[i + 1:]) != t
+                for i, e in enumerate(p)):
+            yield p + (t,)
 

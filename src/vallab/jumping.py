@@ -27,7 +27,7 @@ from typing import Optional
 
 from .errors import (DimensionMismatchError, NegativityViolationError,
                      NotAMinimizerError)
-from .geometry import Ray, critical_rays, ideal_forms
+from .geometry import Ray, critical_rays
 from .ideals import MonomialIdeal, WeightVector
 from .scalars import INFINITY, as_rat, is_finite
 from .valuations import (GradedSeq, PowersSeq, ValSeq, value_on_graded,
@@ -83,7 +83,7 @@ def lct_mixed_graded(q: MonomialIdeal, lam, qprime: Optional[MonomialIdeal],
     qprime = MonomialIdeal.unit(n) if qprime is None else qprime
     qprime.require_nonzero("mixing ideal q'")
 
-    families = [ideal_forms(q), ideal_forms(qprime), seq.linear_forms()]
+    families = [q.generators, qprime.generators, seq.linear_forms()]
     rays = critical_rays(families, n)
 
     certificates = {}

@@ -16,10 +16,11 @@ genuine cross-validation.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import dimension_cap
-from .errors import DimensionCapError, DimensionMismatchError
+from .config import require_within_cap
+from .errors import DimensionMismatchError
 from .geometry import newton_polyhedron
-from .ideals import MonomialIdeal, exponent_box, minimal_antichain
+from .ideals import MonomialIdeal, staircase
+from .ideals import minimal_antichain  # noqa: F401 -- perfbench traces it
 from .scalars import INFINITY, as_rat, floor_rat
 from .valuations import value_on_ideal
 
@@ -38,12 +39,6 @@ def _strict_lower_bound(x):
     return max(0, floor_rat(x) + 1)
 
 
-def _require_within_cap(n):
-    cap = dimension_cap()
-    if n > cap:
-        raise DimensionCapError(f"dimension {n} exceeds cap {cap}")
-
-
 def howald_multiplier(a: MonomialIdeal, c) -> MultiplierIdealResult:
     """The multiplier ideal J(c * a) of a monomial ideal, exactly.
 
@@ -51,43 +46,37 @@ def howald_multiplier(a: MonomialIdeal, c) -> MultiplierIdealResult:
     generator beta has, for each coordinate j, some facet (nu, off) with
     nu_j > 0 and beta_j <= c * off / nu_j (otherwise beta - e_j would
     still pass the interior test), which gives a provable search box.
+    Over that box :func:`vallab.ideals.staircase` walks the prefixes of
+    the first n-1 coordinates and emits only the minimal generators, so
+    the candidates are never filtered pairwise.
     """
     c = as_rat(c)
     if c <= 0:
         raise ValueError("multiplier coefficient must be positive")
     a.require_nonzero("multiplier-ideal argument")
     n = a.dim
-    _require_within_cap(n)
+    require_within_cap(n)
 
-    newt = newton_polyhedron(a)
-    facets = newt.nontrivial_facets
-    if not facets:  # unit ideal: the scaled polyhedron is the full orthant
-        unit = MonomialIdeal.unit(n)
-        return MultiplierIdealResult(c, unit, {unit.generators[0]: ()})
-
+    facets = newton_polyhedron(a).nontrivial_facets  # none for the unit
     bounds = []
     for j in range(n):
         per_facet = [floor_rat(c * off / nu[j]) for nu, off in facets if nu[j] > 0]
         bounds.append(max(per_facet) if per_facet else 0)
 
-    gens = []
-    for prefix in exponent_box(bounds[:-1]):
+    def least(prefix):
         lower = 0
-        feasible = True
         for nu, off in facets:
             partial = sum(nu[j] * (prefix[j] + 1) for j in range(n - 1)) + nu[-1]
             need = c * off - partial  # nu[-1] * beta_n must exceed this
             if nu[-1] == 0:
                 if need >= 0:
-                    feasible = False
-                    break
+                    return None
             else:
                 lower = max(lower, _strict_lower_bound(need / nu[-1]))
-        if feasible:
-            gens.append(prefix + (lower,))
+        return lower
 
-    gens = minimal_antichain(gens)
-    ideal = MonomialIdeal(gens, n) if gens else MonomialIdeal.zero(n)
+    gens = tuple(staircase(bounds[:-1], least))
+    ideal = MonomialIdeal(gens, n)
     witness = {}
     for beta in gens:
         shifted = tuple(b + 1 for b in beta)
@@ -112,7 +101,7 @@ def jumping_number_oracle(q: MonomialIdeal, a: MonomialIdeal):
     if q.dim != a.dim:
         raise DimensionMismatchError(
             f"mixed ambient dimensions {sorted({q.dim, a.dim})}")
-    _require_within_cap(a.dim)
+    require_within_cap(a.dim)
     facets = newton_polyhedron(a).nontrivial_facets
     return min(Fraction(sum(v * (e + 1) for v, e in zip(nu, m)), off)
                for m in q.generators for nu, off in facets)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .ideals import (MonomialIdeal, WeightVector, exponent_box,
-                     minimal_antichain)
+from .ideals import MonomialIdeal, WeightVector, staircase
+from .ideals import minimal_antichain  # noqa: F401 -- perfbench traces it
 from .scalars import as_rat, ceil_rat
 
 
@@ -56,18 +56,17 @@ def valuation_ideal(alpha: WeightVector, m) -> MonomialIdeal:
     supp = alpha.support
     bounds = [ceil_rat(m / alpha.alpha[i]) for i in supp]
 
+    def least(prefix):
+        need = m - sum(alpha.alpha[i] * e for i, e in zip(supp, prefix))
+        return ceil_rat(need / alpha.alpha[supp[-1]]) if need > 0 else 0
+
     gens = []
-    for prefix in exponent_box(bounds[:-1]):
-        partial = sum(alpha.alpha[i] * e for i, e in zip(supp, prefix))
-        last = supp[-1]
-        need = m - partial
-        e_last = ceil_rat(need / alpha.alpha[last]) if need > 0 else 0
+    for point in staircase(bounds[:-1], least):
         beta = [0] * n
-        for i, e in zip(supp, prefix):
+        for i, e in zip(supp, point):
             beta[i] = e
-        beta[last] = e_last
         gens.append(tuple(beta))
-    return MonomialIdeal(minimal_antichain(gens), n)
+    return MonomialIdeal(tuple(gens), n)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,21 @@ class TestExitCodes:
         # gamma = (1/2, 1/3, 1, 1, 1) normalizes v(a) to 1 at minimal cost
         assert doc["value"] == "13/3"
 
+    @pytest.mark.parametrize("argv", [
+        ["lct", "--q", "x2000000000", "--a", "x"],
+        ["--dim", "2000000000", "lct", "--q", "x", "--a", "x"],
+    ])
+    def test_over_cap_dimension_fails_before_parsing(self, capsys,
+                                                     monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no exponent vector may be built")
+
+        monkeypatch.setattr("vallab.cli.parse_ideal", refuse)
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 3 and out == ""
+        assert err == ("DimensionCap: dimension 2000000000 exceeds cap 4; "
+                       "raise VALLAB_DIM_CAP to force\n")
+
     @pytest.mark.parametrize("value", ["abc", "4.5", "0", "-1"])
     def test_bad_dimension_cap_env_is_named(self, capsys, monkeypatch, value):
         monkeypatch.setenv("VALLAB_DIM_CAP", value)

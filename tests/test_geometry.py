@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -91,6 +92,59 @@ class TestNewtonPolyhedron:
             assert newt.contains(g)
             shifted = tuple(x + 1 for x in g)
             assert newt.contains(shifted)
+
+    @staticmethod
+    def _facets_from_difference_subsets(gens, n):
+        """Facets from the kernels of (n-1)-subsets of the unit vectors and
+        the sign-canonical generator differences, each kept by rank."""
+        def canonical(v):
+            p = primitive(v)
+            return p if next(x for x in p if x) > 0 else tuple(-x for x in p)
+
+        def dot(u, v):
+            return sum(a * b for a, b in zip(u, v))
+
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        directions = sorted(
+            {canonical(tuple(a - b for a, b in zip(g, h)))
+             for g, h in combinations(gens, 2)} | set(units))
+        facets = {}
+        for subset in combinations(directions, n - 1):
+            kernel = kernel_basis(list(subset), n)
+            if len(kernel) != 1:
+                continue
+            nu = primitive(kernel[0])
+            nu = tuple(-v for v in nu) if all(v <= 0 for v in nu) else nu
+            if any(v < 0 for v in nu):
+                continue
+            offset = min(dot(nu, g) for g in gens)
+            active = [g for g in gens if dot(nu, g) == offset]
+            span = [tuple(a - b for a, b in zip(g, active[0]))
+                    for g in active[1:]]
+            span += [units[i] for i in range(n) if nu[i] == 0]
+            if matrix_rank(span) == n - 1:
+                facets[nu] = offset
+        return tuple(sorted(facets.items()))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_facets_match_the_difference_subsets(self, n):
+        rng = random.Random(4300 + n)
+        for _ in range(20):
+            a = rand_ideal(rng, n, max_exp=4, max_gens=5, proper=False)
+            assert newton_polyhedron(a).facets == \
+                self._facets_from_difference_subsets(a.generators, n)
+
+    def test_dimension_cap(self, monkeypatch):
+        a = ideal((1, 2, 0, 0, 1), (0, 0, 3, 1, 0))
+        with pytest.raises(DimensionCapError):
+            newton_polyhedron(a)
+        monkeypatch.setenv("VALLAB_DIM_CAP", "5")
+        try:
+            facets = newton_polyhedron(a).facets
+        finally:
+            newton_polyhedron.cache_clear()
+        assert ((0, 0, 0, 1, 1), 1) in facets
+        assert ((0, 3, 2, 0, 0), 6) in facets
 
     def test_3d_box_corner(self):
         newt = newton_polyhedron(
