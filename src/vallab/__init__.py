@@ -12,8 +12,7 @@ from .errors import (CrossCheckError, DimensionCapError,
                      NonUniqueMinimizerError, NormalizationError,
                      NotAMinimizerError, OutOfRangeError, ParseError,
                      VallabError, ZeroIdealError)
-from .geometry import (NewtonPolyhedron, Ray, critical_rays, newton_polyhedron,
-                       proportional)
+from .geometry import NewtonPolyhedron, Ray, critical_rays, newton_polyhedron
 from .ideals import ExponentVector, MonomialIdeal, WeightVector
 from .jumping import (LctResult, RayCertificate, TransferReport,
                       compute_transfer_check, lct_mixed, lct_mixed_graded)
@@ -38,7 +37,6 @@ __all__ = [
     "INFINITY", "Rat", "format_rat", "is_finite",
     "ExponentVector", "MonomialIdeal", "WeightVector",
     "Ray", "NewtonPolyhedron", "newton_polyhedron", "critical_rays",
-    "proportional",
     "PowersSeq", "ValSeq", "EnlargedSeq", "GradedSeq",
     "value_on_ideal", "log_discrepancy", "valuation_ideal",
     "value_on_graded", "truncate",

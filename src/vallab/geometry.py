@@ -1,7 +1,8 @@
 """Exact polyhedral geometry for monomial data.
 
-Two workhorses live here; ``newton_polyhedron`` is built on
-``critical_rays``.
+Two workhorses live here, ``critical_rays`` and ``newton_polyhedron``.
+They are separate derivations; both take their normals as integer
+cross products (``kernel_basis``).
 
 ``critical_rays`` enumerates the extreme rays of the common refinement
 of the nonnegative orthant by the hyperplanes {f_i = f_j} for every pair
@@ -13,12 +14,11 @@ rays (mediant inequality).  This is the reduction from "infimum over all
 valuations" to a finite minimum in the monomial setting.
 
 ``newton_polyhedron`` computes the facet inequalities of
-conv(generators) + R^n_{>=0}.  A facet normal is orthogonal to n-1
-independent vectors among the differences of its active generators and
-the coordinate directions it does not use, so it is a critical ray of
-the one family of generator forms.  Each critical ray is kept when its
-active generators and active coordinate rays span an (n-1)-dimensional
-face, so the surviving list is exactly the facet list.
+conv(generators) + R^n_{>=0}.  A facet contains some generators g_1..g_s
+and the coordinate directions its normal does not use, and n-1 of those
+span it: s-1 differences g_k - g_1 and n-s unit vectors.  Their cross
+product, when nonzero, nonnegative and supporting every generator, is
+therefore a facet normal, and every facet arises this way.
 
 Everything is exact; no floats anywhere.
 """
@@ -27,62 +27,61 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .config import require_within_cap
 from .ideals import MonomialIdeal, minimal_antichain
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on small matrices
+# integer linear algebra on small matrices
 
 
-def _echelon(rows):
-    """Row-reduce a list of Fraction tuples; returns (pivot_cols, rows)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, rows[:r]
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every intermediate entry is a minor of the input, so each division
+    is exact and no fractions appear.
+    """
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * pivot - row[k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if m else 1
 
 
-def matrix_rank(rows):
-    pivots, _ = _echelon(rows)
-    return len(pivots)
+def kernel_basis(rows, n):
+    """Generalized cross product of n-1 integer rows of length n.
+
+    Entry i is det[rows; e_i], the signed minor of the rows with column
+    i deleted.  The vector is orthogonal to every row; it is zero
+    exactly when the rows are linearly dependent, and otherwise it is a
+    basis of their one-dimensional kernel.
+    """
+    return tuple((-1) ** (n - 1 + i) * _det([r[:i] + r[i + 1:] for r in rows])
+                 for i in range(n))
 
 
-def kernel_basis(rows, ncols):
-    """Basis of {x : M x = 0} for the row matrix M, as Fraction tuples."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols))
-                for i in range(ncols)]
-    pivots, red = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
-        basis.append(tuple(vec))
-    return basis
+def _nonnegative_ray(vector):
+    """The primitive nonnegative multiple of an integer vector, or None
+    when the vector is zero or has entries of both signs."""
+    g = gcd(*vector)
+    if g == 0:
+        return None
+    if all(v <= 0 for v in vector):
+        g = -g
+    p = tuple(v // g for v in vector)
+    return p if all(v >= 0 for v in p) else None
 
 
 def primitive(vector):
@@ -105,10 +104,12 @@ def primitive(vector):
 
 
 def _sign_canonical(vector):
-    """Primitive vector with first nonzero entry positive (for dedup)."""
-    p = primitive(vector)
-    lead = next(v for v in p if v != 0)
-    return tuple(-v for v in p) if lead < 0 else p
+    """Nonzero integer vector divided by its gcd, first nonzero entry
+    positive (for dedup)."""
+    g = gcd(*vector)
+    if next(v for v in vector if v) < 0:
+        g = -g
+    return tuple(v // g for v in vector)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +137,6 @@ class Ray:
 
     def __str__(self):
         return "(" + ",".join(str(v) for v in self.direction) + ")"
-
-
-def proportional(u, v):
-    """Do two nonzero nonnegative vectors span the same ray?"""
-    return _sign_canonical(u) == _sign_canonical(v)
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +177,34 @@ class NewtonPolyhedron:
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """Facet description of the Newton polyhedron of a monomial ideal.
 
-    Candidate normals are the critical rays of the generator forms, so
-    the dimension cap applies.  Results are memoized because one ideal
-    is asked for its polyhedron several times in a row: by each J(t a)
-    of one ``controlled_growth_check`` call, and by repeated oracle
-    queries on one denominator.  That reuse is short-range, so the
-    cache is small and its memory stays bounded.
+    Candidate normals are the cross products of s-1 generator
+    differences and n-s unit vectors, sum_s C(k, s) C(n, s) of them for
+    k generators, so the dimension cap applies.
+    Results are memoized because one ideal is asked for its polyhedron
+    several times in a row: by each J(t a) of one
+    ``controlled_growth_check`` call, and by repeated oracle queries on
+    one denominator.  That reuse is short-range, so the cache is small
+    and its memory stays bounded.
     """
     ideal.require_nonzero("ideal of a Newton polyhedron")
     gens = ideal.generators
     n = ideal.dim
+    require_within_cap(n)
 
-    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    facets = []
-    for ray in critical_rays([gens], n):  # sorted and distinct
-        nu = ray.direction
-        offset = min(sum(c * g for c, g in zip(nu, b)) for b in gens)
-        active = [g for g in gens
-                  if sum(c * x for c, x in zip(nu, g)) == offset]
-        span = [tuple(a - b for a, b in zip(g, active[0])) for g in active[1:]]
-        span += [units[i] for i in range(n) if nu[i] == 0]
-        if matrix_rank(span) == n - 1:
-            facets.append((nu, offset))
-    return NewtonPolyhedron(gens, n, tuple(facets))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    facets = {}
+    for s in range(1, min(n, len(gens)) + 1):
+        for face in combinations(gens, s):
+            diffs = [tuple(a - b for a, b in zip(g, face[0])) for g in face[1:]]
+            for free in combinations(units, n - s):
+                nu = _nonnegative_ray(kernel_basis(diffs + list(free), n))
+                if nu is None or nu in facets:
+                    continue
+                offset = sum(c * x for c, x in zip(nu, face[0]))
+                if all(sum(c * x for c, x in zip(nu, g)) >= offset
+                       for g in gens):
+                    facets[nu] = offset
+    return NewtonPolyhedron(gens, n, tuple(sorted(facets.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +228,24 @@ def critical_rays(linear_form_families, dimension):
         if not fam:
             raise ValueError("each linear-form family must be nonempty")
 
-    normals = {_sign_canonical(tuple(Fraction(int(i == j)) for j in range(n)))
-               for i in range(n)}
+    normals = {tuple(int(i == j) for j in range(n)) for i in range(n)}
     for family in linear_form_families:
-        forms = []
-        seen = set()
-        for f in family:
-            t = tuple(Fraction(c) for c in f)
-            if len(t) != n:
-                raise ValueError("linear form length != dimension")
-            if t not in seen:
-                seen.add(t)
-                forms.append(t)
-        for f, g in combinations(forms, 2):
-            diff = tuple(a - b for a, b in zip(f, g))
-            if any(d != 0 for d in diff):
-                normals.add(_sign_canonical(diff))
+        forms = [tuple(Fraction(c) for c in f) for f in family]
+        if any(len(f) != n for f in forms):
+            raise ValueError("linear form length != dimension")
+        scale = 1
+        for f in forms:
+            for c in f:
+                scale = lcm(scale, c.denominator)
+        ints = {tuple(int(c * scale) for c in f) for f in forms}
+        for f, g in combinations(ints, 2):
+            normals.add(_sign_canonical(tuple(a - b for a, b in zip(f, g))))
 
     rays = set()
     for subset in combinations(sorted(normals), n - 1):
-        kernel = kernel_basis(list(subset), n)
-        if len(kernel) != 1:
-            continue
-        d = primitive(kernel[0])
-        if all(v <= 0 for v in d):
-            d = tuple(-v for v in d)
-        if all(v >= 0 for v in d):
-            rays.add(Ray(d))
+        ray = _nonnegative_ray(kernel_basis(subset, n))
+        if ray is not None:
+            rays.add(Ray(ray))
     return sorted(rays)
 
 
@@ -263,8 +255,6 @@ __all__ = [
     "newton_polyhedron",
     "critical_rays",
     "primitive",
-    "proportional",
     "minimal_antichain",
-    "matrix_rank",
     "kernel_basis",
 ]

@@ -6,15 +6,105 @@ from itertools import combinations
 
 import pytest
 
-from vallab import (DimensionCapError, MonomialIdeal, Ray, ZeroIdealError,
-                    critical_rays, newton_polyhedron)
-from vallab.geometry import kernel_basis, matrix_rank, primitive, proportional
+import vallab.geometry
+from vallab import (DimensionCapError, EnlargedSeq, MonomialIdeal, PowersSeq,
+                    Ray, ValSeq, ZeroIdealError, critical_rays,
+                    howald_multiplier, jumping_number_oracle,
+                    newton_polyhedron)
+from vallab.geometry import kernel_basis, primitive
 
-from conftest import rand_ideal
+from conftest import rand_ideal, rand_weights
 
 
 def ideal(*gens):
     return MonomialIdeal.from_exponents(list(gens))
+
+
+# ---------------------------------------------------------------------------
+# Fraction Gauss-Jordan reference: the rational linear algebra that the
+# integer cross products of vallab.geometry replaced.
+
+
+def _echelon(rows):
+    """Row-reduce a list of Fraction tuples; returns (pivot_cols, rows)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, rows[:r]
+
+
+def matrix_rank(rows):
+    pivots, _ = _echelon(rows)
+    return len(pivots)
+
+
+def fraction_kernel(rows, ncols):
+    """Basis of {x : M x = 0} for the row matrix M, as Fraction tuples."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(ncols))
+                for i in range(ncols)]
+    pivots, red = _echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def canonical(v):
+    """Primitive vector with first nonzero entry positive."""
+    p = primitive(v)
+    return p if next(x for x in p if x) > 0 else tuple(-x for x in p)
+
+
+def proportional(u, v):
+    """Do two nonzero vectors span the same line?"""
+    return canonical(u) == canonical(v)
+
+
+def reference_critical_rays(families, n):
+    """The rational enumeration: sign-canonical differences of the
+    Fraction forms of each family plus the unit vectors, then one
+    Fraction kernel per (n-1)-subset."""
+    normals = {tuple(Fraction(int(i == j)) for j in range(n))
+               for i in range(n)}
+    for family in families:
+        forms = {tuple(Fraction(c) for c in f) for f in family}
+        for f, g in combinations(forms, 2):
+            normals.add(canonical(tuple(a - b for a, b in zip(f, g))))
+    rays = set()
+    for subset in combinations(sorted(map(canonical, normals)), n - 1):
+        kernel = fraction_kernel(list(subset), n)
+        if len(kernel) != 1:
+            continue
+        d = primitive(kernel[0])
+        if all(v <= 0 for v in d):
+            d = tuple(-v for v in d)
+        if all(v >= 0 for v in d):
+            rays.add(Ray(d))
+    return sorted(rays)
 
 
 class TestNewtonPolyhedron:
@@ -95,28 +185,16 @@ class TestNewtonPolyhedron:
 
     @staticmethod
     def _facets_from_difference_subsets(gens, n):
-        """Facets from the kernels of (n-1)-subsets of the unit vectors and
-        the sign-canonical generator differences, each kept by rank."""
-        def canonical(v):
-            p = primitive(v)
-            return p if next(x for x in p if x) > 0 else tuple(-x for x in p)
-
+        """Facets from the reference critical rays of the generator forms
+        (kernels of (n-1)-subsets of the unit vectors and the
+        sign-canonical generator differences), each kept by rank."""
         def dot(u, v):
             return sum(a * b for a, b in zip(u, v))
 
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        directions = sorted(
-            {canonical(tuple(a - b for a, b in zip(g, h)))
-             for g, h in combinations(gens, 2)} | set(units))
         facets = {}
-        for subset in combinations(directions, n - 1):
-            kernel = kernel_basis(list(subset), n)
-            if len(kernel) != 1:
-                continue
-            nu = primitive(kernel[0])
-            nu = tuple(-v for v in nu) if all(v <= 0 for v in nu) else nu
-            if any(v < 0 for v in nu):
-                continue
+        for ray in reference_critical_rays([gens], n):
+            nu = ray.direction
             offset = min(dot(nu, g) for g in gens)
             active = [g for g in gens if dot(nu, g) == offset]
             span = [tuple(a - b for a, b in zip(g, active[0]))
@@ -126,13 +204,39 @@ class TestNewtonPolyhedron:
                 facets[nu] = offset
         return tuple(sorted(facets.items()))
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_facets_match_the_difference_subsets(self, n):
         rng = random.Random(4300 + n)
-        for _ in range(20):
-            a = rand_ideal(rng, n, max_exp=4, max_gens=5, proper=False)
+        ideals = [MonomialIdeal.unit(n)]
+        ideals += [rand_ideal(rng, n, max_exp=4, max_gens=8, proper=False)
+                   for _ in range(20)]
+        for a in ideals:
             assert newton_polyhedron(a).facets == \
                 self._facets_from_difference_subsets(a.generators, n)
+
+    def test_oracle_facets_do_not_use_the_engine_arrangement(
+            self, monkeypatch):
+        cases = [(ideal((2, 0), (0, 3)), ideal((1, 0))),
+                 (ideal((3, 0, 1), (0, 2, 0), (1, 1, 4)), ideal((0, 0, 1))),
+                 (ideal((2, 0, 0, 1), (0, 3, 1, 0), (1, 1, 1, 1)),
+                  ideal((1, 0, 0, 0)))]
+        newton_polyhedron.cache_clear()
+        expected = [(newton_polyhedron(a), jumping_number_oracle(q, a),
+                     howald_multiplier(a, Fraction(7, 5)))
+                    for a, q in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Newton facets must not run critical_rays")
+
+        monkeypatch.setattr(vallab.geometry, "critical_rays", refuse)
+        newton_polyhedron.cache_clear()
+        try:
+            for (a, q), (newt, jn, mult) in zip(cases, expected):
+                assert newton_polyhedron(a) == newt
+                assert jumping_number_oracle(q, a) == jn
+                assert howald_multiplier(a, Fraction(7, 5)) == mult
+        finally:
+            newton_polyhedron.cache_clear()
 
     def test_dimension_cap(self, monkeypatch):
         a = ideal((1, 2, 0, 0, 1), (0, 0, 3, 1, 0))
@@ -208,6 +312,28 @@ class TestCriticalRays:
     def test_dimension_one(self):
         assert critical_rays([[(7,), (2,)]], 1) == [Ray((1,))]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_fraction_enumeration(self, n):
+        rng = random.Random(5300 + n)
+        for _ in range(15):
+            a = rand_ideal(rng, n, max_exp=3, max_gens=4, proper=False)
+            val = ValSeq(rand_weights(rng, n, allow_zero=True))
+            beta = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            enl = EnlargedSeq(val, rand_ideal(rng, n, max_exp=3), beta)
+            families = [
+                list(a.generators),
+                val.linear_forms(),
+                enl.linear_forms(),
+                PowersSeq(a).linear_forms() + val.linear_forms(),
+                # duplicate forms and the zero form
+                val.linear_forms() * 2 + [(0,) * n],
+                # one constant form: no splitting hyperplane
+                [rng.choice(enl.linear_forms())],
+            ]
+            chosen = rng.sample(families, rng.randint(1, 3))
+            assert critical_rays(chosen, n) == \
+                reference_critical_rays(chosen, n)
+
     def test_minimizing_member_constant_per_cone_2d(self):
         # between consecutive rays (sorted by angle) the minimizing form of
         # each family must not change: check at cone midpoints vs endpoints
@@ -233,9 +359,29 @@ class TestCriticalRays:
 
 class TestLinearAlgebra:
     def test_kernel_of_single_form(self):
-        basis = kernel_basis([(2, -3)], 2)
-        assert len(basis) == 1
-        assert primitive(basis[0]) in [(3, 2), (-3, -2)]
+        assert kernel_basis([(2, -3)], 2) in [(3, 2), (-3, -2)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cross_product_against_the_fraction_kernel(self, n):
+        rng = random.Random(5100 + n)
+        for trial in range(150):
+            rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(n - 1)]
+            if trial % 3 == 0 and n > 2:
+                # the last row becomes an integer combination of the first two
+                c, d = rng.randint(-2, 2), rng.randint(-2, 2)
+                second = rows[1] if n > 3 else (0,) * n
+                rows[-1] = tuple(c * x + d * y
+                                 for x, y in zip(rows[0], second))
+            cross = kernel_basis(rows, n)
+            assert all(isinstance(v, int) for v in cross) and len(cross) == n
+            reference = fraction_kernel(rows, n)
+            if len(reference) > 1:
+                assert cross == (0,) * n
+                continue
+            assert all(sum(a * b for a, b in zip(cross, r)) == 0
+                       for r in rows)
+            assert proportional(cross, reference[0])
 
     def test_rank(self):
         assert matrix_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
