@@ -2,7 +2,8 @@
 
 Two workhorses live here, ``critical_rays`` and ``newton_polyhedron``.
 They are separate derivations; both take their normals as integer
-cross products (``kernel_basis``).
+cross products (``kernel_basis``), built by Laplace expansion over
+index tables made once per dimension, with no division.
 
 ``critical_rays`` enumerates the extreme rays of the common refinement
 of the nonnegative orthant by the hyperplanes {f_i = f_j} for every pair
@@ -37,27 +38,29 @@ from .ideals import MonomialIdeal, minimal_antichain
 # integer linear algebra on small matrices
 
 
-def _det(rows):
-    """Determinant of a square integer matrix by Bareiss elimination.
+@lru_cache(maxsize=None)
+def _laplace_tables(n):
+    """Index tables of the Laplace expansion of n-1 rows of length n.
 
-    Every intermediate entry is a minor of the input, so each division
-    is exact and no fractions appear.
+    Level k lists, for each k-subset S of the columns (in
+    ``combinations`` order), the terms (column j, sign, index of S - {j}
+    in level k-1) that expand the minor of the first k rows on S along
+    row k.  ``entries`` gives entry i of the cross product as a sign and
+    the index of the (n-1)-subset that omits column i.
     """
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for row in m[k + 1:]:
-            for j in range(k + 1, len(m)):
-                row[j] = (row[j] * pivot - row[k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if m else 1
+    index = {(): 0}
+    levels = []
+    for k in range(1, n):
+        subsets = list(combinations(range(n), k))
+        levels.append(tuple(
+            tuple((s[p], (-1) ** (k - 1 + p), index[s[:p] + s[p + 1:]])
+                  for p in range(k))
+            for s in subsets))
+        index = {s: i for i, s in enumerate(subsets)}
+    entries = tuple(((-1) ** (n - 1 + i),
+                     index[tuple(c for c in range(n) if c != i)])
+                    for i in range(n))
+    return tuple(levels), entries
 
 
 def kernel_basis(rows, n):
@@ -67,9 +70,21 @@ def kernel_basis(rows, n):
     i deleted.  The vector is orthogonal to every row; it is zero
     exactly when the rows are linearly dependent, and otherwise it is a
     basis of their one-dimensional kernel.
+
+    All n minors come from one Laplace expansion, one row at a time:
+    the minors of the first k rows on every k-subset of the columns are
+    sums of products of row k with minors of the first k-1 rows, over
+    index tables made once per n.  There is no division.  A call takes
+    under n 2^(n-1) products, so its cost grows as about 2^n: faster than
+    one Bareiss elimination per minor up to n = 6, slower from n = 7,
+    which only a ``VALLAB_DIM_CAP`` of 7 or more admits.
     """
-    return tuple((-1) ** (n - 1 + i) * _det([r[:i] + r[i + 1:] for r in rows])
-                 for i in range(n))
+    levels, entries = _laplace_tables(n)
+    minors = [1]
+    for row, level in zip(rows, levels):
+        minors = [sum([sign * row[j] * minors[s] for j, sign, s in terms])
+                  for terms in level]
+    return tuple([sign * minors[s] for sign, s in entries])
 
 
 def _nonnegative_ray(vector):
@@ -173,24 +188,28 @@ class NewtonPolyhedron:
         return True
 
 
-@lru_cache(maxsize=64)
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """Facet description of the Newton polyhedron of a monomial ideal.
 
     Candidate normals are the cross products of s-1 generator
     differences and n-s unit vectors, sum_s C(k, s) C(n, s) of them for
-    k generators, so the dimension cap applies.
+    k generators, so the dimension cap applies, on every call.
     Results are memoized because one ideal is asked for its polyhedron
     several times in a row: by each J(t a) of one
     ``controlled_growth_check`` call, and by repeated oracle queries on
     one denominator.  That reuse is short-range, so the cache is small
-    and its memory stays bounded.
+    and its memory stays bounded.  ``cache_clear`` and ``cache_info``
+    are those of the cache.
     """
     ideal.require_nonzero("ideal of a Newton polyhedron")
+    require_within_cap(ideal.dim)
+    return _newton_facets(ideal)
+
+
+@lru_cache(maxsize=64)
+def _newton_facets(ideal):
     gens = ideal.generators
     n = ideal.dim
-    require_within_cap(n)
-
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     facets = {}
     for s in range(1, min(n, len(gens)) + 1):
@@ -205,6 +224,10 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
                        for g in gens):
                     facets[nu] = offset
     return NewtonPolyhedron(gens, n, tuple(sorted(facets.items())))
+
+
+newton_polyhedron.cache_clear = _newton_facets.cache_clear
+newton_polyhedron.cache_info = _newton_facets.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +253,8 @@ def critical_rays(linear_form_families, dimension):
 
     normals = {tuple(int(i == j) for j in range(n)) for i in range(n)}
     for family in linear_form_families:
-        forms = [tuple(Fraction(c) for c in f) for f in family]
+        forms = [f if all(isinstance(c, int) for c in f)
+                 else tuple(Fraction(c) for c in f) for f in family]
         if any(len(f) != n for f in forms):
             raise ValueError("linear form length != dimension")
         scale = 1

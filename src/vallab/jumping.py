@@ -109,13 +109,14 @@ def lct_mixed_graded(q: MonomialIdeal, lam, qprime: Optional[MonomialIdeal],
                     f"{-bound if bound is not None else '-infinity'}",
                     ray=ray)
 
-    finite = {ray: cert for ray, cert in certificates.items() if cert.va > 0}
-    if not finite:
+    ratios = {ray: cert.ratio(lam) for ray, cert in certificates.items()
+              if cert.va > 0}
+    if not ratios:
         return LctResult(INFINITY, lam, (), certificates, bound)
 
-    value = min(cert.ratio(lam) for cert in finite.values())
-    minimizers = tuple(sorted(ray for ray, cert in finite.items()
-                              if cert.ratio(lam) == value))
+    value = min(ratios.values())
+    minimizers = tuple(sorted(ray for ray, ratio in ratios.items()
+                              if ratio == value))
     return LctResult(value, lam, minimizers, certificates, bound)
 
 

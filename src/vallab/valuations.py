@@ -20,6 +20,7 @@ m up to 60 before the engine relies on it).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatchError
 from .ideals import MonomialIdeal, WeightVector, staircase
@@ -28,12 +29,20 @@ from .scalars import as_rat, ceil_rat
 
 
 def value_on_ideal(alpha, ideal: MonomialIdeal) -> Fraction:
-    """min over generators beta of <alpha, beta>; 0 on the unit ideal."""
+    """min over generators beta of <alpha, beta>; 0 on the unit ideal.
+
+    Integer weights, such as the coordinates of a ray, are summed in
+    integers and give one Fraction at the end; other weights are
+    summed as Fractions.  The value is a Fraction either way.
+    """
     weights = alpha.alpha if isinstance(alpha, WeightVector) else tuple(alpha)
     if len(weights) != ideal.dim:
         raise DimensionMismatchError(
             f"weight length {len(weights)} != ideal dimension {ideal.dim}")
     ideal.require_nonzero("valued ideal")
+    if all(isinstance(a, int) for a in weights):
+        return Fraction(min(sum(map(mul, weights, g))
+                            for g in ideal.generators))
     return min(sum(as_rat(a) * b for a, b in zip(weights, g))
                for g in ideal.generators)
 
@@ -150,7 +159,7 @@ GradedSeq = (PowersSeq, ValSeq, EnlargedSeq)
 def value_on_graded(gamma, seq) -> Fraction:
     """Asymptotic value lim v_gamma(a_m)/m of a graded sequence, exactly."""
     weights = gamma.alpha if isinstance(gamma, WeightVector) else \
-        tuple(as_rat(c) for c in gamma)
+        tuple(c if isinstance(c, int) else as_rat(c) for c in gamma)
     if len(weights) != seq.dim:
         raise DimensionMismatchError("weights do not match sequence dimension")
     if isinstance(seq, PowersSeq):

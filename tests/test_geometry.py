@@ -73,6 +73,35 @@ def fraction_kernel(rows, ncols):
     return basis
 
 
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every intermediate entry is a minor of the input, so each division
+    is exact and no fractions appear.
+    """
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * pivot - row[k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if m else 1
+
+
+def bareiss_cross(rows, n):
+    """Generalized cross product, one Bareiss determinant per entry."""
+    return tuple((-1) ** (n - 1 + i) * _det([r[:i] + r[i + 1:] for r in rows])
+                 for i in range(n))
+
+
 def canonical(v):
     """Primitive vector with first nonzero entry positive."""
     p = primitive(v)
@@ -250,6 +279,21 @@ class TestNewtonPolyhedron:
         assert ((0, 0, 0, 1, 1), 1) in facets
         assert ((0, 3, 2, 0, 0), 6) in facets
 
+    def test_cap_is_checked_on_a_cache_hit(self, monkeypatch):
+        a = ideal((1, 2, 0, 0, 1), (0, 0, 3, 1, 0))
+        newton_polyhedron.cache_clear()
+        try:
+            monkeypatch.setenv("VALLAB_DIM_CAP", "5")
+            facets = newton_polyhedron(a).facets
+            assert newton_polyhedron(a).facets == facets
+            monkeypatch.delenv("VALLAB_DIM_CAP")
+            with pytest.raises(DimensionCapError):
+                newton_polyhedron(a)
+            info = newton_polyhedron.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        finally:
+            newton_polyhedron.cache_clear()
+
     def test_3d_box_corner(self):
         newt = newton_polyhedron(
             MonomialIdeal.from_exponents([(1, 1, 1)]))
@@ -382,6 +426,32 @@ class TestLinearAlgebra:
             assert all(sum(a * b for a, b in zip(cross, r)) == 0
                        for r in rows)
             assert proportional(cross, reference[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_cross_product_equals_the_bareiss_minors(self, n):
+        rng = random.Random(5200 + n)
+        zero = 0
+        for trial in range(200):
+            bound = 10 ** 6 if trial % 2 else 3
+            rows = [tuple(rng.randint(-bound, bound) for _ in range(n))
+                    for _ in range(n - 1)]
+            kind = trial % 8
+            if kind == 1 and n > 2:
+                rows[-1] = rows[0]
+            elif kind == 3 and n > 3:
+                c, d = rng.randint(-bound, bound), rng.randint(-bound, bound)
+                rows[-1] = tuple(c * x + d * y
+                                 for x, y in zip(rows[0], rows[1]))
+            elif kind == 5:
+                # sparse rows: zero pivots force row swaps in the reference
+                rows = [tuple(x if rng.random() < 0.3 else 0 for x in r)
+                        for r in rows]
+            elif kind == 7 and n > 1:
+                rows[rng.randrange(n - 1)] = (0,) * n
+            cross = kernel_basis(rows, n)
+            assert cross == bareiss_cross(rows, n)
+            zero += cross == (0,) * n
+        assert zero > 0 or n == 1
 
     def test_rank(self):
         assert matrix_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2

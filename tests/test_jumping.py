@@ -1,15 +1,19 @@
 """Mixed jumping numbers: exact values, certificates, identities."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import vallab.jumping
 from vallab import (INFINITY, EnlargedSeq, MonomialIdeal,
                     NegativityViolationError, NotAMinimizerError, PowersSeq,
                     Ray, ValSeq, WeightVector, compute_transfer_check,
-                    is_finite, lct_mixed, lct_mixed_graded)
+                    is_finite, lct_mixed, lct_mixed_graded, tian_function,
+                    value_on_graded, value_on_ideal)
+from vallab.scalars import as_rat
 
-from conftest import rand_ideal, rand_positive_weights
+from conftest import rand_ideal, rand_positive_weights, rand_weights
 
 
 def ideal(*gens):
@@ -217,3 +221,103 @@ class TestSupOverTruncations:
         assert all(v <= limit for v in values)
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == limit
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference: every weight times exponent term as a Fraction, the
+# evaluation the engine used before integer rays were summed in integers.
+
+
+def reference_value_on_ideal(alpha, ideal):
+    weights = alpha.alpha if isinstance(alpha, WeightVector) else tuple(alpha)
+    return min(sum(as_rat(a) * b for a, b in zip(weights, g))
+               for g in ideal.generators)
+
+
+def reference_value_on_graded(gamma, seq):
+    weights = gamma.alpha if isinstance(gamma, WeightVector) else \
+        tuple(as_rat(c) for c in gamma)
+    if isinstance(seq, PowersSeq):
+        return reference_value_on_ideal(weights, seq.base)
+    if isinstance(seq, ValSeq):
+        return min(weights[i] / seq.alpha.alpha[i] for i in seq.alpha.support)
+    return min(seq.beta * reference_value_on_ideal(weights, seq.qprime),
+               reference_value_on_graded(weights, seq.base))
+
+
+class TestAgainstFractionEvaluation:
+    @staticmethod
+    def _cases(rng, n):
+        for k in range(12):
+            q = rand_ideal(rng, n, max_exp=3, proper=False)
+            qprime = None if k % 4 == 0 else \
+                rand_ideal(rng, n, max_exp=3, proper=k % 4 != 1)
+            a = rand_ideal(rng, n, max_exp=3, proper=k % 6 != 5)
+            val = ValSeq(rand_weights(rng, n, allow_zero=True))
+            beta = F(rng.randint(1, 5), rng.randint(1, 4))
+            seq = [PowersSeq(a), val,
+                   EnlargedSeq(val, rand_ideal(rng, n, max_exp=3), beta),
+                   EnlargedSeq(PowersSeq(a), rand_ideal(rng, n, max_exp=2),
+                               beta)][k % 4]
+            yield q, qprime, seq
+
+    @staticmethod
+    def _assert_fraction(*values):
+        assert all(isinstance(v, F) for v in values), values
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_engine_matches_the_fraction_reference(self, n, monkeypatch):
+        rng = random.Random(6100 + n)
+        lams_seen = set()
+        for q, qprime, seq in self._cases(rng, n):
+            with monkeypatch.context() as m:
+                m.setattr(vallab.jumping, "value_on_ideal",
+                          reference_value_on_ideal)
+                m.setattr(vallab.jumping, "value_on_graded",
+                          reference_value_on_graded)
+                probe = lct_mixed_graded(q, 0, qprime, seq)
+                bound = probe.lambda_bound
+                lams = [F(0), F(rng.randint(1, 7), rng.randint(1, 3)),
+                        -bound / 2 if bound is not None else F(-1)]
+                expected = [lct_mixed_graded(q, lam, qprime, seq)
+                            for lam in lams]
+            for lam, ref in zip(lams, expected):
+                lams_seen.add((lam > 0) - (lam < 0))
+                got = lct_mixed_graded(q, lam, qprime, seq)
+                assert got.value == ref.value
+                assert got.minimizing_rays == ref.minimizing_rays
+                assert got.lambda_bound == ref.lambda_bound
+                assert got.certificates == ref.certificates
+                if not got.is_infinite:
+                    self._assert_fraction(got.value)
+                for cert in got.certificates.values():
+                    self._assert_fraction(cert.log_disc, cert.vq,
+                                          cert.vqprime, cert.va)
+            if not probe.is_infinite:
+                f = tian_function(q, qprime or MonomialIdeal.unit(n), seq)
+                for piece in f.pieces:
+                    self._assert_fraction(piece.slope, piece.intercept)
+                    if piece.start is not None:
+                        self._assert_fraction(piece.start)
+            for ray in probe.certificates:
+                d = ray.direction
+                for gamma in (d, tuple(map(F, d)), WeightVector.of(*d)):
+                    got = (value_on_ideal(gamma, q), value_on_graded(gamma, seq))
+                    self._assert_fraction(*got)
+                    assert got == (reference_value_on_ideal(gamma, q),
+                                   reference_value_on_graded(gamma, seq))
+        assert lams_seen == {-1, 0, 1}
+
+    def test_rational_and_zero_weights(self):
+        rng = random.Random(6200)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                alpha = rand_weights(rng, n, allow_zero=True)
+                a = rand_ideal(rng, n, proper=False)
+                seq = EnlargedSeq(ValSeq(alpha), a, F(3, 2))
+                for gamma in (alpha, alpha.alpha,
+                              tuple(int(x * 60) for x in alpha.alpha)):
+                    got = (value_on_ideal(gamma, a), value_on_graded(gamma, seq))
+                    self._assert_fraction(*got)
+                    assert got == (reference_value_on_ideal(gamma, a),
+                                   reference_value_on_graded(gamma, seq))
