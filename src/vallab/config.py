@@ -4,7 +4,10 @@ The only knob is the ambient-dimension cap for the combinatorial
 enumerations: critical rays, Newton facets and lattice searches are
 exponential in the dimension, so the default keeps things at desk scale;
 raise the cap via the ``VALLAB_DIM_CAP`` environment variable if you
-accept the cost.
+accept the cost.  That cost includes each integer cross product
+(``geometry.kernel_basis``), which takes about n 2^n products and keeps
+index tables of that size for the rest of the process, even for an
+ideal with few generators: about 10^7 of each at n = 20.
 """
 
 import os

@@ -75,9 +75,12 @@ def kernel_basis(rows, n):
     the minors of the first k rows on every k-subset of the columns are
     sums of products of row k with minors of the first k-1 rows, over
     index tables made once per n.  There is no division.  A call takes
-    under n 2^(n-1) products, so its cost grows as about 2^n: faster than
-    one Bareiss elimination per minor up to n = 6, slower from n = 7,
-    which only a ``VALLAB_DIM_CAP`` of 7 or more admits.
+    under n 2^(n-1) products: faster than one Bareiss elimination per
+    minor up to n = 6, slower from n = 7, which only a ``VALLAB_DIM_CAP``
+    of 7 or more admits.  The tables hold as many index triples and are
+    kept for every n seen until the process ends, so both the cost of a
+    call and that memory grow as n 2^n whatever the number of rows to
+    cross: about 10^7 products per call and triples kept at n = 20.
     """
     levels, entries = _laplace_tables(n)
     minors = [1]

@@ -31,20 +31,17 @@ from .scalars import as_rat, ceil_rat
 def value_on_ideal(alpha, ideal: MonomialIdeal) -> Fraction:
     """min over generators beta of <alpha, beta>; 0 on the unit ideal.
 
-    Integer weights, such as the coordinates of a ray, are summed in
-    integers and give one Fraction at the end; other weights are
-    summed as Fractions.  The value is a Fraction either way.
+    Integer weights, such as the coordinates of a ray, stay integers
+    and other weights become Fractions once each, so a ray is summed in
+    integers; the minimum is returned as one Fraction either way.
     """
-    weights = alpha.alpha if isinstance(alpha, WeightVector) else tuple(alpha)
+    weights = alpha.alpha if isinstance(alpha, WeightVector) else \
+        tuple(c if isinstance(c, int) else as_rat(c) for c in alpha)
     if len(weights) != ideal.dim:
         raise DimensionMismatchError(
             f"weight length {len(weights)} != ideal dimension {ideal.dim}")
     ideal.require_nonzero("valued ideal")
-    if all(isinstance(a, int) for a in weights):
-        return Fraction(min(sum(map(mul, weights, g))
-                            for g in ideal.generators))
-    return min(sum(as_rat(a) * b for a, b in zip(weights, g))
-               for g in ideal.generators)
+    return Fraction(min(sum(map(mul, weights, g)) for g in ideal.generators))
 
 
 def log_discrepancy(alpha: WeightVector) -> Fraction:
